@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from . import decision, ensemble, epsilon as eps_mod, montecarlo
-from .decoherence import (
-    AncillaSpec,
-    compute_X,
-    detection_probability,
-    full_tensor_oracle,
-    overlaps,
-)
+from .decoherence import AncillaSpec, detection_probability, full_tensor_oracle
 from .walk import PhasePattern, exit_amplitude, exit_probability_ideal
 
 Z_LIMIT = 4.0
@@ -123,8 +117,11 @@ def _float_list(text):
         if ":" in part:
             pieces = [float(x) for x in part.split(":")]
             if len(pieces) != 3:
-                raise argparse.ArgumentTypeError("float ranges need start:stop:step")
+                raise ValueError("float ranges need start:stop:step")
             start, stop, step = pieces
+            if step == 0 or (stop - start) * step < 0:
+                raise ValueError(f"float range {part!r}: step must be nonzero "
+                                 "and point from start to stop")
             count = int(round((stop - start) / step))
             values.extend(start + i * step for i in range(count + 1))
         else:
@@ -144,7 +141,6 @@ def _require_pattern(args):
 
 def cmd_walk(args):
     pattern = _require_pattern(args)
-    spec = AncillaSpec.uniform(args.nu, args.n)
     p_analytic = float(
         detection_probability(args.promise, args.nu, epsilon=args.epsilon, n_paths=args.n)
     )
@@ -153,9 +149,10 @@ def cmd_walk(args):
     ideal_ok = abs(p_statevector - p_ideal_formula) <= 1e-12
     p_oracle, oracle_ok = None, None
     if args.exact_oracle:
-        p_oracle = full_tensor_oracle(pattern, spec)
+        p_oracle = full_tensor_oracle(pattern, AncillaSpec.uniform(args.nu, args.n))
         oracle_ok = abs(p_oracle - p_analytic) <= 1e-10
-    coherence_x = compute_X(overlaps(spec))
+    # X = sum_{j!=k} |G[k][j]| / (N+1)^2 with every off-diagonal overlap nu
+    coherence_x = args.nu * args.n * (args.n - 1) / (args.n + 1) ** 2
     table = OutputTable(
         columns=[
             "n", "promise", "epsilon", "nu", "p_analytic",

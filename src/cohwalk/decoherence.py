@@ -163,6 +163,8 @@ def detection_probability(promise, nu, epsilon=None, n_paths=None):
     and without it the large-N limits nu, 0 and nu*eps^2.  Accepts
     ``fractions.Fraction`` inputs and then stays exact.
     """
+    if not 0 <= nu <= 1:
+        raise ValueError("nu must lie in [0, 1]")
     if promise == "constant":
         if n_paths is None:
             return nu

@@ -16,18 +16,27 @@ how the experiment range is partitioned across workers.  Per-run
 measurement outcomes are drawn from the exact walk probabilities rather
 than by collapsing a simulated state vector; the walk is deterministic,
 so the statistics are identical.
+
+The count is drawn by inversion with a lookup table (Devroye 1986,
+*Non-Uniform Random Variate Generation*, ch. III.2): once per run, the
+count law under each hypothesis is built from ``ensemble.binomial_prob``
+or ``ensemble.hypergeometric_prob`` and accumulated into a CDF, and each
+uniform u maps to the smallest k with cdf[k] >= u by binary search.  The
+test suite checks the draws against ``scipy.stats`` quantile functions,
+which the package itself does not need.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from . import decision, epsilon as eps_mod
 from .decoherence import detection_probability
+from .ensemble import EnsembleParams, binomial_prob, hypergeometric_prob
 from .walk import PhasePattern
 
 STRATEGIES = ("classical-dj", "quantum-dj", "classical-eps", "quantum-eps")
@@ -56,6 +65,10 @@ class TrialConfig:
             raise ValueError("experiments must be at least 1")
         if self.m < 1:
             raise ValueError("m must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
+        if not 0 <= self.nu <= 1:
+            raise ValueError("nu must lie in [0, 1]")
         if self.likelihood not in ("idealized", "exact-n"):
             raise ValueError("likelihood must be 'idealized' or 'exact-n'")
         if self.sampling not in ("iid", "hypergeom"):
@@ -134,100 +147,79 @@ def experiment_uniforms(seed, start, count):
     while pos < count:
         block, offset = divmod(start + pos, STREAM_BLOCK)
         take = min(STREAM_BLOCK - offset, count - pos)
-        gen = np.random.Generator(np.random.Philox(key=[seed, block]))
+        # a uint64 key: a plain list holding a seed >= 2**63 goes through float64
+        key = np.array([seed, block], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
         u = gen.random(2 * STREAM_BLOCK).reshape(STREAM_BLOCK, 2)
         u_hyp[pos:pos + take] = u[offset:offset + take, 0]
         u_count[pos:pos + take] = u[offset:offset + take, 1]
         pos += take
-    # ppf(0) would be -1; clip away the measure-zero endpoint
+    # u = 0 would map to k = 0 even where pmf[0] = 0; clip away the
+    # measure-zero endpoint
     return u_hyp, np.clip(u_count, 1e-300, None)
 
 
-def _binom_count(u, m, p):
-    if p <= 0:
-        return np.zeros(len(u), dtype=np.int64)
-    if p >= 1:
-        return np.full(len(u), m, dtype=np.int64)
-    return stats.binom.ppf(u, m, p).astype(np.int64)
+def _hypotheses(config):
+    """The two hypotheses of a strategy; the prior picks the first when u_hyp < 1/2."""
+    return ("epsilon" if config.strategy.endswith("-eps") else "constant", "balanced")
 
 
-def _hypergeom_count(u, n_total, n_plus, m):
-    return stats.hypergeom.ppf(u, n_total, n_plus, m).astype(np.int64)
+def _count_pmf(config, hypothesis):
+    """Law of the count statistic over 0..m under ``hypothesis``.
 
-
-def _plus_count(config, u, which):
-    """Vectorized +1-reading count under hypothesis ``which``."""
+    The count is the number of exits for the quantum strategies and the
+    number of +1 readings for the classical ones; a constant pattern
+    reads all +1 (both signs guess identically), a point mass at m.
+    """
     m, n = config.m, config.n_paths
+    if config.strategy.startswith("quantum"):
+        n_paths = n if config.likelihood == "exact-n" else None
+        p = float(detection_probability(
+            hypothesis, config.nu, epsilon=config.epsilon, n_paths=n_paths))
+        return [binomial_prob(m, k, p) for k in range(m + 1)]
+    if hypothesis == "constant":
+        p_plus, k_plus = 1.0, n
+    elif hypothesis == "balanced":
+        p_plus, k_plus = 0.5, n // 2
+    else:
+        p_plus, k_plus = (1 + config.epsilon) / 2, round((1 + config.epsilon) * n / 2)
     if config.sampling == "iid":
-        p_plus = 0.5 if which == "balanced" else (1 + config.epsilon) / 2
-        return _binom_count(u, m, p_plus)
-    k_plus = n // 2 if which == "balanced" else round((1 + config.epsilon) * n / 2)
-    return _hypergeom_count(u, n, k_plus, m)
+        return [binomial_prob(m, k, p_plus) for k in range(m + 1)]
+    params = (EnsembleParams(n, Fraction(k_plus, n), m, k) for k in range(m + 1))
+    return [hypergeometric_prob(p) for p in params]
 
 
-def _detections(config, u, promise):
-    n_paths = config.n_paths if config.likelihood == "exact-n" else None
-    p = float(
-        detection_probability(promise, config.nu, epsilon=config.epsilon, n_paths=n_paths)
-    )
-    return _binom_count(u, config.m, p)
+def _table_count(u, cdf):
+    """Smallest k with cdf[k] >= u: inversion by table lookup.
+
+    Round-off can leave cdf[m] just below 1; uniforms above it map to m.
+    """
+    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
 
 
-def _block_errors(config, u_hyp, u_count):
-    """Number of wrong guesses among one block of experiments."""
+def _block_errors(config, cdfs, u_hyp, u_count):
+    """Number of wrong guesses among one block of experiments.
+
+    ``cdfs`` maps each hypothesis to the cumulative law of its count;
+    each experiment draws its count under its own hypothesis only.
+    """
+    first, second = _hypotheses(config)
+    if config.truth == "prior":
+        is_first = u_hyp < 0.5
+    else:
+        is_first = np.full(len(u_hyp), config.truth == first)
+    counts = np.empty(len(u_hyp), dtype=np.int64)
+    for hypothesis, mask in ((first, is_first), (second, ~is_first)):
+        counts[mask] = _table_count(u_count[mask], cdfs[hypothesis])
+
     m = config.m
     if config.strategy == "classical-dj":
-        if config.truth == "prior":
-            is_const = u_hyp < 0.5  # both constant signs guess identically
-            is_balanced = ~is_const
-        else:
-            is_balanced = np.full(len(u_hyp), config.truth == "balanced")
-            is_const = ~is_balanced
-        counts = np.where(is_const, m, 0)
-        if is_balanced.any():
-            counts = np.where(is_balanced, _plus_count(config, u_count, "balanced"), counts)
-        all_same = (counts == 0) | (counts == m)
-        # guess constant iff all readings agree
-        errors = (all_same & is_balanced) | (~all_same & is_const)
-        return int(errors.sum())
-
-    if config.strategy == "quantum-dj":
-        if config.truth == "prior":
-            is_const = u_hyp < 0.5
-        else:
-            is_const = np.full(len(u_hyp), config.truth == "constant")
-        det = np.where(
-            is_const,
-            _detections(config, u_count, "constant"),
-            _detections(config, u_count, "balanced"),
-        )
-        # guess balanced iff no run exits
-        errors = ((det == 0) & is_const) | ((det > 0) & ~is_const)
-        return int(errors.sum())
-
-    # epsilon-variant strategies: hypotheses are balanced vs biased
-    if config.truth == "prior":
-        is_eps = u_hyp < 0.5
-    else:
-        is_eps = np.full(len(u_hyp), config.truth == "epsilon")
-
-    if config.strategy == "classical-eps":
-        k_min = eps_mod.detection_count_threshold(m, config.epsilon)
-        counts = np.where(
-            is_eps,
-            _plus_count(config, u_count, "epsilon"),
-            _plus_count(config, u_count, "balanced"),
-        )
-        guess_eps = counts >= k_min
-    else:  # quantum-eps: declare the biased case on the first exit
-        det = np.where(
-            is_eps,
-            _detections(config, u_count, "epsilon"),
-            _detections(config, u_count, "balanced"),
-        )
-        guess_eps = det > 0
-    errors = guess_eps != is_eps
-    return int(errors.sum())
+        guess_first = (counts == 0) | (counts == m)  # constant iff all readings agree
+    elif config.strategy == "classical-eps":
+        guess_first = counts >= eps_mod.detection_count_threshold(m, config.epsilon)
+    else:  # quantum: constant / biased on the first exit
+        guess_first = counts > 0
+    return int((guess_first != is_first).sum())
 
 
 def analytic_error(config):
@@ -274,16 +266,25 @@ def analytic_error(config):
 
 
 def run_experiment(config):
-    """Run the configured experiments and compare against the closed form."""
+    """Run the configured experiments and compare against the closed form.
+
+    The z-score divides by the Wald standard error of the empirical
+    rate; when that is 0 (no errors, or all wrong) it divides by the
+    standard error of the analytic rate instead, which is then reported.
+    """
+    cdfs = {h: np.cumsum(_count_pmf(config, h)) for h in _hypotheses(config)}
     total_errors = 0
     for start in range(0, config.experiments, STREAM_BLOCK):
         count = min(STREAM_BLOCK, config.experiments - start)
         u_hyp, u_count = experiment_uniforms(config.seed, start, count)
-        total_errors += _block_errors(config, u_hyp, u_count)
+        total_errors += _block_errors(config, cdfs, u_hyp, u_count)
 
-    empirical = total_errors / config.experiments
-    std_error = math.sqrt(empirical * (1 - empirical) / config.experiments)
+    n = config.experiments
+    empirical = total_errors / n
     analytic = float(analytic_error(config))
+    std_error = math.sqrt(empirical * (1 - empirical) / n)
+    if std_error == 0.0:
+        std_error = math.sqrt(analytic * (1 - analytic) / n)
     if std_error == 0.0:
         z = 0.0 if empirical == analytic else math.inf
     else:

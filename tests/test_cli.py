@@ -6,6 +6,7 @@ import math
 import pytest
 
 from cohwalk.cli import main, parse_csv_table
+from cohwalk.decoherence import AncillaSpec, compute_X, overlaps
 
 BOOL_FLAGS = {"exact_oracle", "exact_tails", "strict"}
 NON_FLAG_KEYS = {"command", "version"}
@@ -64,6 +65,17 @@ class TestWalkCommand:
     def test_epsilon_requires_value(self, capsys):
         code, _ = run_cli(capsys, ["walk", "--n", "4", "--promise", "epsilon"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", [4, 64, 512])
+    @pytest.mark.parametrize("nu", ["0", "0.3", "1"])
+    def test_coherence_x_matches_dense_overlaps(self, capsys, n, nu):
+        code, out = run_cli(capsys, ["walk", "--n", str(n), "--promise", "constant",
+                                     "--nu", nu])
+        assert code == 0
+        dense = compute_X(overlaps(AncillaSpec.uniform(float(nu), n)))
+        assert float(cell(parse_csv_table(out), "coherence_x")) == pytest.approx(
+            dense, abs=1e-12
+        )
 
 
 class TestDecideCommand:
@@ -152,12 +164,45 @@ class TestMcCommand:
                                    "--experiments", "1000", "--strict"])
         assert code == 2
 
+    def test_zero_wald_error_uses_analytic_spread(self, capsys):
+        # no errors against a target of 1.9e-9: the Wald standard error is 0
+        code, out = run_cli(capsys, ["mc", "--strategy", "quantum-eps", "--m", "2000",
+                                     "--epsilon", "0.1", "--truth", "epsilon",
+                                     "--experiments", "10000", "--seed", "1"])
+        assert code == 0
+        table = parse_csv_table(out)
+        assert float(cell(table, "empirical_error")) == 0.0
+        assert abs(float(cell(table, "z_score"))) <= 4
+        assert cell(table, "z_ok") == "true"
+
     def test_implicit_seed_is_recorded(self, capsys):
         code, out = run_cli(capsys, ["mc", "--strategy", "classical-dj", "--m", "3",
                                      "--experiments", "1000"])
         assert code == 0
         table = parse_csv_table(out)
         assert table.metadata["seed"] != ""
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--m-range", "1", "--nu-range", "1.5"],
+        ["decide", "--m-range", "2", "--nu-range", "0:1:0"],
+        ["decide", "--m-range", "2", "--nu-range", "1:0:0.5"],
+        ["decide", "--m-range", "2", "--nu-range", "0:1"],
+        ["mc", "--strategy", "quantum-dj", "--m", "2", "--nu", "1.7",
+         "--experiments", "1000", "--seed", "3"],
+        ["mc", "--strategy", "classical-dj", "--m", "3", "--experiments", "1000",
+         "--seed", "-5"],
+        ["mc", "--strategy", "classical-dj", "--m", "3", "--experiments", "1000",
+         "--seed", str(2**64)],
+    ])
+    def test_bad_input_exits_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 class TestOutputContract:

@@ -1,6 +1,7 @@
 """Decoherence tests: overlaps, density matrix, coherence, exit bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +236,13 @@ class TestExitProbability:
         assert detection_probability("epsilon", 0.5, epsilon=0.1) == pytest.approx(
             0.005
         )
+
+    def test_nu_outside_unit_interval_rejected(self):
+        for nu in (1.5, -0.25, float("nan"), Fraction(3, 2), Fraction(-1, 4)):
+            for promise in ("constant", "balanced"):
+                with pytest.raises(ValueError):
+                    detection_probability(promise, nu, n_paths=8)
+        assert detection_probability("constant", Fraction(1, 2), n_paths=2) == Fraction(1, 3)
 
 
 class TestBound:

@@ -2,15 +2,23 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import cohwalk
 from cohwalk.montecarlo import (
     MCResult,
     TrialConfig,
+    _count_pmf,
+    _table_count,
     analytic_error,
+    experiment_uniforms,
     run_experiment,
     sample_pattern,
     simulate_classical_trials,
@@ -230,3 +238,99 @@ class TestRunExperiment:
         assert result.std_error == pytest.approx(expected_std, rel=1e-12)
         recomputed_z = (result.empirical_error - result.analytic_error) / result.std_error
         assert result.z_score == pytest.approx(recomputed_z, rel=1e-12)
+
+
+def binom_cdf(m, p):
+    """Table of binom(m, p): the constant-pattern exit count at nu = p."""
+    config = TrialConfig("quantum-dj", m=m, experiments=1, seed=0, nu=p)
+    return np.cumsum(_count_pmf(config, "constant"))
+
+
+def hypergeom_cdf(n_total, m, hypothesis):
+    """Table of the +1 count in m of N readings drawn without replacement."""
+    config = TrialConfig("classical-eps", m=m, experiments=1, seed=0, epsilon=0.2,
+                         n_paths=n_total, sampling="hypergeom")
+    return np.cumsum(_count_pmf(config, hypothesis))
+
+
+class TestTableSampler:
+    @pytest.mark.parametrize("m", [1, 3, 40, 2000])
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.6])
+    def test_binomial_matches_scipy_ppf(self, m, p):
+        _, u = experiment_uniforms(41, 0, 20_000)
+        want = stats.binom.ppf(u, m, p).astype(np.int64)
+        assert np.array_equal(_table_count(u, binom_cdf(m, p)), want)
+
+    @pytest.mark.parametrize("n_total, m", [(100, 4), (100, 20), (1000, 5), (1000, 100)])
+    @pytest.mark.parametrize("hypothesis, n_plus", [("balanced", 0.5), ("epsilon", 0.6)])
+    def test_hypergeometric_matches_scipy_ppf(self, n_total, m, hypothesis, n_plus):
+        _, u = experiment_uniforms(43, 0, 2_000)
+        want = stats.hypergeom.ppf(u, n_total, round(n_plus * n_total), m).astype(np.int64)
+        assert np.array_equal(_table_count(u, hypergeom_cdf(n_total, m, hypothesis)), want)
+
+    @pytest.mark.parametrize("cdf", [binom_cdf(3, 0.5), binom_cdf(40, 0.5),
+                                     binom_cdf(40, 0.6), hypergeom_cdf(100, 20, "balanced")],
+                             ids=["binom3", "binom40", "binom40-0.6", "hypergeom100"])
+    def test_extreme_uniforms(self, cdf):
+        m = len(cdf) - 1
+        u = np.array([1e-300, 1 - 2**-53])
+        assert _table_count(u, cdf).tolist() == [0, m]
+
+    @pytest.mark.parametrize("m", [1, 40, 2000])
+    def test_certain_outcomes(self, m):
+        u = np.array([1e-300, 0.5, 1 - 2**-53])
+        assert _table_count(u, binom_cdf(m, 0.0)).tolist() == [0, 0, 0]
+        assert _table_count(u, binom_cdf(m, 1.0)).tolist() == [m, m, m]
+
+    @pytest.mark.parametrize("cdf", [binom_cdf(40, 0.5), binom_cdf(2000, 0.01),
+                                     hypergeom_cdf(1000, 100, "epsilon")],
+                             ids=["binom40", "binom2000", "hypergeom1000"])
+    def test_cdf_boundaries(self, cdf):
+        # u = cdf[k] is the last uniform mapped to k, the next float maps to k + 1
+        steps = np.flatnonzero(np.diff(cdf) > 0)
+        ks = steps[np.isin(steps, steps + 1) | (steps == 0)]
+        assert len(ks) > 5
+        assert np.array_equal(_table_count(cdf[ks], cdf), ks)
+        # round-off can lift the sum above 1, so step up towards infinity
+        assert np.array_equal(_table_count(np.nextafter(cdf[ks], np.inf), cdf), ks + 1)
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(cohwalk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, cohwalk.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"nu": 1.7}, {"nu": -0.1}, {"nu": float("nan")}, {"seed": -5}, {"seed": 2**64},
+    ])
+    def test_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrialConfig("quantum-dj", m=2, experiments=10, **{"seed": 0, **kwargs})
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            config = TrialConfig("quantum-dj", m=2, experiments=10, seed=seed, nu=0.5)
+            assert 0 <= run_experiment(config).empirical_error <= 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_seeds_key_exactly(self):
+        first = {seed: experiment_uniforms(seed, 0, 4)[0].tolist()
+                 for seed in (0, 2**63 + 12288, 2**63 + 12345, 2**64 - 1)}
+        assert len({tuple(u) for u in first.values()}) == len(first)
+        direct = np.random.Generator(np.random.Philox(key=[7, 0])).random(2)[0]
+        assert experiment_uniforms(7, 0, 1)[0][0] == direct
+
+    def test_zero_wald_error_falls_back_to_null(self):
+        config = TrialConfig("quantum-eps", m=2000, experiments=10_000, seed=1,
+                             epsilon=0.1, truth="epsilon")
+        result = run_experiment(config)
+        p0 = result.analytic_error
+        assert result.empirical_error == 0.0
+        assert result.std_error == math.sqrt(p0 * (1 - p0) / 10_000)
+        assert abs(result.z_score) <= 4
