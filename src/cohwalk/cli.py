@@ -102,9 +102,14 @@ def _int_list(text):
     for part in text.split(","):
         if ":" in part:
             pieces = [int(x) for x in part.split(":")]
+            if len(pieces) > 3:
+                raise ValueError("integer ranges need start:stop[:step]")
             start, stop = pieces[0], pieces[1]
             step = pieces[2] if len(pieces) > 2 else 1
-            values.extend(range(start, stop + 1, step))
+            if step == 0 or (stop - start) * step < 0:
+                raise ValueError(f"integer range {part!r}: step must be nonzero "
+                                 "and point from start to stop")
+            values.extend(range(start, stop + (1 if step > 0 else -1), step))
         else:
             values.append(int(part))
     return values

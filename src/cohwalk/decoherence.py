@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .walk import build_graph, transition_table
+from .walk import advance, build_graph, transition_table
 
 IMAG_TOL = 1e-10
 BOUND_TOL = 1e-12
@@ -92,7 +92,9 @@ def rho_int(pattern, overlap):
     if g.shape != (n, n):
         raise ValueError("overlap matrix does not match the pattern size")
     s = np.array(pattern.signs, dtype=float)
-    return np.outer(s, s) * g.T / (n + 1)
+    rho = g * np.outer(s, s)
+    rho /= n + 1
+    return rho.T
 
 
 def coherence_l1(rho):
@@ -207,32 +209,23 @@ def full_tensor_oracle(pattern, spec, tail_depth=4):
 
     graph = build_graph(n, tail_depth)
     table = transition_table(graph, pattern)
-    n_edges = len(graph.edge_states)
-    dim = 2**n
     rotations = [_qubit_rotation(a, b) for a, b in zip(spec.alphas, spec.betas)]
 
-    state = np.zeros((n_edges, dim), dtype=complex)
-    state[graph.state_index((0, "A")), 0] = 1.0
+    state = np.zeros((graph.n_states, 2**n), dtype=complex)
+    state[table.a_in[0], 0] = 1.0  # |0,A>, markers all |0>
 
     for _ in range(3):
-        new = np.zeros_like(state)
-        for row in np.flatnonzero(np.abs(state).sum(axis=1)):
-            src = graph.edge_states[row]
-            routes = table[src]
-            if routes is None:
-                raise AssertionError("oracle walk reached the tail boundary")
-            for dst, coeff, path_j in routes:
-                vec = state[row]
-                if path_j is not None:
-                    reg = vec.reshape((2,) * n)
-                    reg = np.moveaxis(
-                        np.tensordot(rotations[path_j - 1], reg, axes=([1], [path_j - 1])),
-                        0,
-                        path_j - 1,
-                    )
-                    vec = reg.reshape(dim)
-                new[graph.state_index(dst)] += coeff * vec
-        state = new
+        # the step acts alike on every marker configuration, so only the
+        # occupied columns of the register need stepping
+        occupied = np.flatnonzero(state.any(axis=0))
+        columns = state[:, occupied]
+        transits = columns[table.path_src].any(axis=-1)
+        state[:, occupied] = advance(columns, table)
+        for side, j in zip(*np.nonzero(transits)):
+            row = table.path_dst[side, j]
+            reg = state[row].reshape((2,) * n)
+            reg = np.moveaxis(np.tensordot(rotations[j], reg, axes=([1], [j])), 0, j)
+            state[row] = reg.reshape(-1)
 
-    exit_row = state[graph.state_index(graph.exit_edge)]
+    exit_row = state[table.b_out[0]]  # |B,N+1>
     return float(np.sum(np.abs(exit_row) ** 2))

@@ -77,6 +77,8 @@ class TrialConfig:
             raise ValueError("bad truth tag")
         if self.strategy.endswith("-eps") and self.epsilon is None:
             raise ValueError("epsilon strategies need an epsilon value")
+        if self.epsilon is not None and not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must lie in (0, 1)")
         if self.truth == "epsilon" and not self.strategy.endswith("-eps"):
             raise ValueError("epsilon truth only applies to the epsilon strategies")
         if self.truth == "constant" and self.strategy.endswith("-eps"):

@@ -15,17 +15,22 @@ time step routes every occupied state through the vertex it points at:
   edges are indexed by the neighbor labels {0, 1..N}; at B by
   {1..N, N+1}, where the label N+1 is congruent to 0 mod N+1.
 * Path vertex j transmits and multiplies by s_j, in both directions.
-* Tail vertices transmit outward with unit coefficient.
+* Tail vertices pass amplitude straight through with unit coefficient.
 
-Amplitudes are stored sparsely as a dict keyed by edge state; the walk
-is only ever a few steps long, so the support stays tiny.
+The state is a dense complex array indexed by edge state.  One step
+costs O(N log N): each Fourier vertex is an inverse FFT over its N+1
+slots, each path a sign multiply, each tail an index shift.  After the
+three steps of the walk the support holds O(N) states.  ``step`` keeps
+a dict interface (edge state -> amplitude) over the same kernel.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 Vertex = int | str  # 'A', 'B', or an integer tail/path label
 EdgeState = tuple[Vertex, Vertex]
@@ -113,20 +118,30 @@ class WalkGraph:
     ``tail_depth`` counts the edges in each tail chain, including (0, A)
     and (B, N+1).  The entry tail uses vertices 0, -1, ..., -(tail_depth-1)
     and the exit tail N+1, ..., N+tail_depth.  Every undirected edge
-    contributes two directed states, 4*(tail_depth + n_paths) in total.
+    contributes two directed states, 4*(tail_depth + n_paths) in total:
+    the i-th undirected edge (u, v) gives state 2i = |u,v> and state
+    2i+1 = |v,u>, with the edges in the order (0, A), (-1, 0), (-2, -1),
+    ..., then (A, j) and (j, B) for j = 1..N, then (B, N+1),
+    (N+1, N+2), ....  ``edge_states`` and ``state_index`` spell that
+    order out and are built on first use; ``transition_table`` works
+    from the arithmetic alone, so a large walk never builds them.
     """
 
     n_paths: int
     tail_depth: int = 4
-    edge_states: tuple = field(init=False)
-    _index: dict = field(init=False, repr=False)
-    _neighbors: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         if self.tail_depth < 4:
             raise ValueError("tail_depth must be at least 4")
+
+    @property
+    def n_states(self):
+        return 4 * (self.tail_depth + self.n_paths)
+
+    @cached_property
+    def edge_states(self):
         n, depth = self.n_paths, self.tail_depth
         undirected = [(0, "A")]
         undirected += [(-k - 1, -k) for k in range(depth - 1)]
@@ -134,17 +149,11 @@ class WalkGraph:
             undirected += [("A", j), (j, "B")]
         undirected.append(("B", n + 1))
         undirected += [(n + k, n + k + 1) for k in range(1, depth)]
+        return tuple(state for u, v in undirected for state in ((u, v), (v, u)))
 
-        states = []
-        neighbors = {}
-        for u, v in undirected:
-            states.append((u, v))
-            states.append((v, u))
-            neighbors.setdefault(u, []).append(v)
-            neighbors.setdefault(v, []).append(u)
-        self.edge_states = tuple(states)
-        self._index = {e: i for i, e in enumerate(states)}
-        self._neighbors = neighbors
+    @cached_property
+    def _index(self):
+        return {e: i for i, e in enumerate(self.edge_states)}
 
     @property
     def exit_edge(self):
@@ -159,47 +168,87 @@ def build_graph(n_paths, tail_depth=4):
     return WalkGraph(n_paths, tail_depth)
 
 
-def transition_table(graph, pattern):
-    """Single-step routing for every directed edge state.
+@dataclass(frozen=True)
+class TransitionTable:
+    """Single-step routing as edge-state index arrays.
 
-    Returns a dict mapping each source state to a list of
-    ``(destination, coefficient, path_vertex)`` triples, where
-    ``path_vertex`` is the phase-shifter label when the hop transits a
-    path vertex (used by the ancilla-coupled simulation) and ``None``
-    otherwise.  States pointing at an outermost tail vertex map to
-    ``None``: routing them means the truncation is too shallow.
+    * ``a_in``/``a_out``: the N+1 states entering and leaving A, slot k
+      holding neighbor label k, so slot 0 is |0,A> in and |A,0> out.
+    * ``b_in``/``b_out``: the same at B with slot 0 for the label
+      N+1 = 0 mod N+1, so slot 0 is |N+1,B> in and |B,N+1> out.
+    * ``path_src``/``path_dst``: shape (2, N); column j-1 is path j,
+      row 0 the hop |A,j> -> |j,B> and row 1 the hop |B,j> -> |j,A>.
+      ``signs`` holds s_j in column order.
+    * ``tail_src``/``tail_dst``: unit-coefficient hops through the tails.
+    * ``boundary``: the two states pointing at an outermost tail vertex;
+      routing them means the truncation is too shallow.
     """
+
+    a_in: np.ndarray
+    a_out: np.ndarray
+    b_in: np.ndarray
+    b_out: np.ndarray
+    path_src: np.ndarray
+    path_dst: np.ndarray
+    signs: np.ndarray
+    tail_src: np.ndarray
+    tail_dst: np.ndarray
+    boundary: np.ndarray
+
+
+def transition_table(graph, pattern):
+    """Index arrays that route every directed edge state one step."""
     if pattern.n_paths != graph.n_paths:
         raise ValueError("pattern and graph disagree on the number of paths")
     n, depth = graph.n_paths, graph.tail_depth
-    norm = 1.0 / math.sqrt(n + 1)
-    omega = 2j * math.pi / (n + 1)
-    a_labels = list(range(n + 1))          # neighbors of A: 0 and 1..N
-    b_labels = list(range(1, n + 2))       # neighbors of B: 1..N and N+1
-    leftmost = -(depth - 1)
-    rightmost = n + depth
+    a_j = 2 * depth + 4 * np.arange(n)   # |A,j>; |j,A>, |j,B>, |B,j> follow it
+    b_exit = 2 * depth + 4 * n           # |B,N+1>; |N+1,B> follows it
+    # tails: outward states move 2 indices up, inward ones 2 down.  The
+    # outward chains start at |A,0> and |B,N+1> and stop short of the
+    # boundary; the inward chains end on |0,A> and |N+1,B>.
+    outward = np.concatenate((np.arange(1, 2 * depth - 2, 2),
+                              np.arange(b_exit, b_exit + 2 * depth - 2, 2)))
+    inward = np.concatenate((np.arange(2, 2 * depth - 1, 2),
+                             np.arange(b_exit + 3, b_exit + 2 * depth, 2)))
+    return TransitionTable(
+        a_in=np.concatenate(([0], a_j + 1)),
+        a_out=np.concatenate(([1], a_j)),
+        b_in=np.concatenate(([b_exit + 1], a_j + 2)),
+        b_out=np.concatenate(([b_exit], a_j + 3)),
+        path_src=np.stack((a_j, a_j + 3)),
+        path_dst=np.stack((a_j + 2, a_j + 1)),
+        signs=np.array(pattern.signs, dtype=float),
+        tail_src=np.concatenate((outward, inward)),
+        tail_dst=np.concatenate((outward + 2, inward - 2)),
+        boundary=np.array([2 * depth - 1, b_exit + 2 * depth - 2]),
+    )
 
-    table = {}
-    for u, v in graph.edge_states:
-        if v == "A":
-            j = 0 if u == 0 else u
-            table[(u, v)] = [
-                (("A", k), norm * cmath.exp(omega * j * k), None) for k in a_labels
-            ]
-        elif v == "B":
-            table[(u, v)] = [
-                (("B", k), norm * cmath.exp(omega * u * k), None) for k in b_labels
-            ]
-        elif 1 <= v <= n:
-            dst = (v, "B") if u == "A" else (v, "A")
-            table[(u, v)] = [(dst, complex(pattern.signs[v - 1]), v)]
-        elif v == leftmost or v == rightmost:
-            table[(u, v)] = None
-        else:
-            # interior tail vertex: transmit outward
-            (other,) = [w for w in graph._neighbors[v] if w != u]
-            table[(u, v)] = [((v, other), 1.0 + 0j, None)]
-    return table
+
+def advance(amp, table):
+    """Advance an amplitude array one time step.
+
+    Axis 0 of ``amp`` runs over edge states; further axes ride along
+    (the joint oracle keeps its marker register there).  Raises
+    ``BoundaryError`` if any amplitude would have to leave the truncated
+    tails, and checks that the step preserves the norm.
+    """
+    if np.any(amp[table.boundary]):
+        raise BoundaryError("amplitude hit the tail truncation; increase tail_depth")
+    new = np.zeros_like(amp)
+    # blocks that hold no amplitude are skipped: at N = 10^6 an empty
+    # block still costs a full transform
+    for src, dst in ((table.a_in, table.a_out), (table.b_in, table.b_out)):
+        block = amp[src]
+        if block.any():
+            new[dst] = np.fft.ifft(block, axis=0, norm="ortho")
+    moving = amp[table.path_src]
+    if moving.any():
+        new[table.path_dst] = moving * table.signs.reshape((-1,) + (1,) * (amp.ndim - 1))
+    new[table.tail_dst] = amp[table.tail_src]
+    before, after = state_norm(amp), state_norm(new)
+    if abs(after - before) > NORM_TOL:
+        raise AssertionError(f"step broke the norm: {before} -> {after}")
+    return new
 
 
 def initial_state():
@@ -208,34 +257,36 @@ def initial_state():
 
 
 def state_norm(state):
-    return math.sqrt(sum(abs(a) ** 2 for a in state.values()))
+    """Norm of an amplitude array, or of the values of a dict state.
+
+    Summed pairwise: a running sum over a flat unit vector is already
+    off by 2.7e-12 at N = 10^5, past NORM_TOL.
+    """
+    if isinstance(state, dict):
+        state = list(state.values())
+    flat = np.ascontiguousarray(state, dtype=complex).ravel().view(np.float64)
+    return math.sqrt(np.sum(flat * flat))
+
+
+def _as_dict(graph, amp):
+    support = np.flatnonzero(amp).tolist()
+    return dict(zip([graph.edge_states[i] for i in support], amp[support].tolist()))
 
 
 def step(state, pattern, graph, _table=None):
-    """Advance the walk one time step.
+    """Advance a dict state (edge state -> amplitude) one time step.
 
     Raises ``BoundaryError`` if any amplitude would have to leave the
     truncated tails, and checks that the step preserves the norm.
     """
     table = _table if _table is not None else transition_table(graph, pattern)
-    new = {}
-    for src, amp in state.items():
-        routes = table[src]
-        if routes is None:
-            raise BoundaryError(
-                f"amplitude on {src} hit the tail truncation; increase tail_depth"
-            )
-        for dst, coeff, _ in routes:
-            new[dst] = new.get(dst, 0j) + amp * coeff
-    new = {e: a for e, a in new.items() if a != 0}
-    before, after = state_norm(state), state_norm(new)
-    if abs(after - before) > NORM_TOL:
-        raise AssertionError(f"step broke the norm: {before} -> {after}")
-    return new
+    amp = np.zeros(graph.n_states, dtype=complex)
+    for edge, a in state.items():
+        amp[graph.state_index(edge)] = a
+    return _as_dict(graph, advance(amp, table))
 
 
-def run_walk(pattern, steps=3, tail_depth=4):
-    """Run the walk from |0,A> for ``steps`` steps and return the state."""
+def _walk(pattern, steps, tail_depth):
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps > tail_depth - 1:
@@ -244,16 +295,23 @@ def run_walk(pattern, steps=3, tail_depth=4):
         )
     graph = build_graph(pattern.n_paths, tail_depth)
     table = transition_table(graph, pattern)
-    state = initial_state()
+    amp = np.zeros(graph.n_states, dtype=complex)
+    amp[table.a_in[0]] = 1.0  # |0,A>
     for _ in range(steps):
-        state = step(state, pattern, graph, _table=table)
-    return state
+        amp = advance(amp, table)
+    return graph, table, amp
+
+
+def run_walk(pattern, steps=3, tail_depth=4):
+    """Run the walk from |0,A> for ``steps`` steps and return the state."""
+    graph, _, amp = _walk(pattern, steps, tail_depth)
+    return _as_dict(graph, amp)
 
 
 def exit_amplitude(pattern, tail_depth=4):
     """Amplitude on the exit edge |B,N+1> after the standard 3 steps."""
-    state = run_walk(pattern, steps=3, tail_depth=tail_depth)
-    return state.get(("B", pattern.n_paths + 1), 0j)
+    _, table, amp = _walk(pattern, 3, tail_depth)
+    return complex(amp[table.b_out[0]])
 
 
 def exit_probability_ideal(pattern):

@@ -98,6 +98,14 @@ class TestDecideCommand:
         for row in range(len(table.rows)):
             assert float(cell(table, "quantum_error", row)) == 0.0
 
+    @pytest.mark.parametrize("m_range, ms", [
+        ("1:3", ["1", "2", "3"]), ("3:1:-1", ["3", "2", "1"]), ("2:7:2", ["2", "4", "6"]),
+    ])
+    def test_integer_ranges_include_stop(self, capsys, m_range, ms):
+        code, out = run_cli(capsys, ["decide", "--m-range", m_range, "--nu-range", "0.5"])
+        assert code == 0
+        assert [row[0] for row in parse_csv_table(out).rows] == ms
+
     def test_closed_form_grid_value(self, capsys):
         code, out = run_cli(capsys, ["decide", "--m-range", "5",
                                      "--nu-range", "0.6"])
@@ -195,6 +203,12 @@ class TestInputContract:
          "--seed", "-5"],
         ["mc", "--strategy", "classical-dj", "--m", "3", "--experiments", "1000",
          "--seed", str(2**64)],
+        ["decide", "--m-range", "5:1", "--nu-range", "0.5"],
+        ["decide", "--m-range", "1:3:1:9", "--nu-range", "0.5"],
+        ["mc", "--strategy", "quantum-eps", "--m", "5", "--epsilon", "1.5",
+         "--experiments", "100", "--seed", "1"],
+        ["mc", "--strategy", "classical-eps", "--m", "5", "--epsilon", "1.5",
+         "--experiments", "100", "--seed", "1"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)

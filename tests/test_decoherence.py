@@ -105,6 +105,16 @@ class TestRhoInt:
         rho = rho_int(pattern, overlaps(AncillaSpec.uniform(0.0, 4)))
         assert np.allclose(rho, np.eye(4) / 5, atol=1e-15)
 
+    def test_entries_follow_definition(self):
+        # entry (j, k) is s_j s_k G[k][j] / (N+1); the transposed
+        # orientation would pass every Hermitian, trace and PSD check
+        rng = np.random.default_rng(5)
+        for n in (3, 64):
+            pattern = random_pattern(rng, n)
+            g = overlaps(random_spec(rng, n))
+            s = np.array(pattern.signs, dtype=float)
+            assert np.array_equal(rho_int(pattern, g), np.outer(s, s) * g.T / (n + 1))
+
     def test_trace_is_path_weight(self):
         rng = np.random.default_rng(3)
         for n in (2, 6, 11):

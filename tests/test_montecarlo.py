@@ -313,6 +313,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrialConfig("quantum-dj", m=2, experiments=10, **{"seed": 0, **kwargs})
 
+    @pytest.mark.parametrize("strategy", ["quantum-eps", "classical-eps"])
+    @pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_epsilon_outside_open_unit_interval_rejected(self, strategy, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            TrialConfig(strategy, m=5, experiments=10, seed=1, epsilon=eps)
+
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             config = TrialConfig("quantum-dj", m=2, experiments=10, seed=seed, nu=0.5)

@@ -1,5 +1,6 @@
 """Walk-core tests: graph layout, step unitarity, exit probabilities."""
 
+import cmath
 import math
 
 import numpy as np
@@ -38,6 +39,42 @@ def random_pattern(rng, n):
         return PhasePattern(signs, "epsilon", total / n)
     # flip to keep a positive bias; exit probability only sees |total|
     return PhasePattern(tuple(-s for s in signs), "epsilon", -total / n)
+
+
+def non_boundary_states(graph, table):
+    """Edge states the walk may route: all but those pointing off the tails."""
+    boundary = {graph.edge_states[i] for i in table.boundary}
+    return [e for e in graph.edge_states if e not in boundary]
+
+
+def dense_step_matrix(graph, pattern):
+    """Reference step matrix built entry by entry from the walk rules.
+
+    Column |u,v> routes through vertex v: A and B spread it over their
+    N+1 incident edges with exp(2i*pi*j*k/(N+1)) / sqrt(N+1) (label N+1
+    at B), path vertex j passes it on times s_j, and a tail vertex
+    passes it to its other neighbor.  Columns of states that point at an
+    outermost tail vertex stay zero.
+    """
+    n, depth = graph.n_paths, graph.tail_depth
+    index = {e: i for i, e in enumerate(graph.edge_states)}
+    matrix = np.zeros((len(index), len(index)), dtype=complex)
+    fourier = {"A": range(n + 1), "B": range(1, n + 2)}
+    for (u, v), col in index.items():
+        if v in fourier:
+            for k in fourier[v]:
+                phase = cmath.exp(2j * math.pi * u * k / (n + 1))
+                matrix[index[(v, k)], col] = phase / math.sqrt(n + 1)
+        elif 1 <= v <= n:
+            matrix[index[(v, "B" if u == "A" else "A")], col] = pattern.signs[v - 1]
+        elif v not in (-(depth - 1), n + depth):
+            if v <= 0:
+                neighbors = ("A" if v == 0 else v + 1, v - 1)
+            else:
+                neighbors = ("B" if v == n + 1 else v - 1, v + 1)
+            (other,) = [w for w in neighbors if w != u]
+            matrix[index[(v, other)], col] = 1.0
+    return matrix
 
 
 class TestGraph:
@@ -132,8 +169,7 @@ class TestStep:
         for n in (2, 5, 9):
             pattern = random_pattern(rng, n)
             graph = build_graph(n, 6)
-            table = transition_table(graph, pattern)
-            safe = [e for e in graph.edge_states if table[e] is not None]
+            safe = non_boundary_states(graph, transition_table(graph, pattern))
             for _ in range(5):
                 amps = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
                 amps /= np.linalg.norm(amps)
@@ -141,6 +177,34 @@ class TestStep:
                 assert state_norm(step(state, pattern, graph)) == pytest.approx(
                     1.0, abs=1e-12
                 )
+
+    def test_step_matches_dense_reference(self):
+        # the Fourier kernel's sign matters here: a conjugated kernel keeps
+        # every exit probability but not these amplitudes
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4, 7, 12, 16):
+            pattern = random_pattern(rng, n)
+            graph = build_graph(n, 5)
+            table = transition_table(graph, pattern)
+            matrix = dense_step_matrix(graph, pattern)
+            safe = non_boundary_states(graph, table)
+            cols = [graph.state_index(e) for e in safe]
+            rows = np.flatnonzero(np.abs(matrix).sum(axis=1))
+            square = matrix[np.ix_(rows, cols)]
+            assert square.shape == (len(safe), len(safe))
+            assert np.allclose(square.conj().T @ square, np.eye(len(safe)), rtol=0, atol=1e-12)
+            for _ in range(3):
+                amps = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
+                amps /= np.linalg.norm(amps)
+                vec = np.zeros(len(graph.edge_states), dtype=complex)
+                vec[cols] = amps
+                want = matrix @ vec
+                got = step(dict(zip(safe, amps)), pattern, graph, _table=table)
+                assert set(got) <= {graph.edge_states[i] for i in rows}
+                have = np.zeros_like(want)
+                for edge, amp in got.items():
+                    have[graph.state_index(edge)] = amp
+                assert np.max(np.abs(have - want)) <= 1e-12
 
     def test_zero_steps_is_identity(self):
         state = run_walk(PhasePattern.constant(4), steps=0)
@@ -204,6 +268,13 @@ class TestExitProbability:
             assert from_formula == pytest.approx(
                 brute_exit_probability(pattern.signs), abs=1e-14
             )
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_constant_amplitude_large_n(self, n):
+        # a running sum of the N+1 squared amplitudes would drift past
+        # NORM_TOL here and fail the step's own norm check
+        p = abs(exit_amplitude(PhasePattern.constant(n))) ** 2
+        assert abs(p - n**2 / (n + 1) ** 2) <= 1e-12
 
     def test_biased_pattern_value(self):
         pattern = PhasePattern.epsilon_biased(100, 0.1)
