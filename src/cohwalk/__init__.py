@@ -66,8 +66,10 @@ from .epsilon import (
 )
 from .ensemble import (
     EnsembleParams,
+    binomial_pmf,
     binomial_prob,
     convergence_gap,
+    hypergeometric_pmf,
     hypergeometric_prob,
     hypergeometric_prob_exact,
 )

@@ -238,11 +238,8 @@ def cmd_ensemble(args):
         gap = ensemble.convergence_gap(n, args.p, args.m)
         ratio = None if previous_gap is None else gap / previous_gap
         decreasing_ok = None if previous_gap is None else gap < previous_gap
-        k_plus = round(args.p * n)
-        mass = sum(
-            ensemble.hypergeometric_prob(ensemble.EnsembleParams(n, args.p, args.m, j))
-            for j in range(args.m + 1)
-        )
+        k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
+        mass = sum(ensemble.hypergeometric_pmf(n, k_plus, args.m))
         normalization_ok = abs(mass - 1.0) <= 1e-9
         rows.append([n, args.p, args.m, k_plus, gap, ratio, decreasing_ok, mass, normalization_ok])
         previous_gap = gap

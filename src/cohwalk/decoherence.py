@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .walk import advance, build_graph, transition_table
+from .walk import advance, build_graph, state_norm, transition_table
 
 IMAG_TOL = 1e-10
 BOUND_TOL = 1e-12
@@ -220,7 +220,7 @@ def full_tensor_oracle(pattern, spec, tail_depth=4):
         occupied = np.flatnonzero(state.any(axis=0))
         columns = state[:, occupied]
         transits = columns[table.path_src].any(axis=-1)
-        state[:, occupied] = advance(columns, table)
+        state[:, occupied], _ = advance(columns, table, state_norm(columns))
         for side, j in zip(*np.nonzero(transits)):
             row = table.path_dst[side, j]
             reg = state[row].reshape((2,) * n)

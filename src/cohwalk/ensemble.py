@@ -7,9 +7,19 @@ a fixed length-m subsequence then follows the hypergeometric law
     P(m_plus) = C(m, m_plus) * C(N-m, pN - m_plus) / C(N, pN),
 
 which converges to the binomial law with success probability p as N
-grows with m fixed.  This module evaluates both laws (exact big-integer
-rationals for moderate N, log-gamma floats beyond) and measures the
-worst-case distance between them.
+grows with m fixed.  This module evaluates both laws and measures the
+worst-case distance between them.  The exact hypergeometric rational
+is built from falling factorials,
+
+    P(m_plus) = C(m, m_plus) * k^(m_plus) * (N-k)^(m-m_plus) / N^(m),
+
+with k = pN and x^(j) = x (x-1) ... (x-j+1): products of at most m
+factors, where the binomials of N have O(N) digits.  As floats, the
+hypergeometric law is that rational up to N = 200 and a log-gamma
+expression beyond, and the binomial law is always log-gamma.
+``binomial_pmf`` and ``hypergeometric_pmf`` return a whole law over
+0..m from one table of log-gamma values, each entry equal to the
+single-count call.
 """
 
 from __future__ import annotations
@@ -49,13 +59,23 @@ class EnsembleParams:
         return round(self.p * self.n_total)
 
 
-def hypergeometric_prob_exact(params):
-    """Exact rational subsequence probability (big-integer arithmetic)."""
-    n, k = params.n_total, params.n_plus
-    m, j = params.m, params.m_plus
+def _exact(n, k, m, j):
     if j > k or m - j > n - k:
         return Fraction(0)
-    return Fraction(math.comb(m, j) * math.comb(n - m, k - j), math.comb(n, k))
+    # C(N-m, k-j) / C(N, k) as falling factorials of at most m factors
+    return Fraction(math.comb(m, j) * math.perm(k, j) * math.perm(n - k, m - j),
+                    math.perm(n, m))
+
+
+def hypergeometric_prob_exact(params):
+    """Exact rational subsequence probability.
+
+    Computed as C(m, m_plus) k^(m_plus) (N-k)^(m-m_plus) / N^(m) with
+    falling factorials x^(j) = x (x-1) ... (x-j+1), so the cost grows
+    with m, not N; the reduced ``Fraction`` equals
+    C(m, m_plus) C(N-m, k-m_plus) / C(N, k).
+    """
+    return _exact(params.n_total, params.n_plus, params.m, params.m_plus)
 
 
 def _log_comb(n, k):
@@ -78,6 +98,37 @@ def hypergeometric_prob(params):
     return math.exp(_log_comb(m, j) + _log_comb(n - m, k - j) - _log_comb(n, k))
 
 
+def _lgamma_table(lo, hi):
+    """lgamma(x + 1) for x = lo..hi."""
+    return [math.lgamma(x + 1) for x in range(lo, hi + 1)]
+
+
+def hypergeometric_pmf(n, k, m):
+    """``hypergeometric_prob`` for every count 0..m, as a list.
+
+    ``k`` is the number of +1 entries among the n.  Beyond
+    EXACT_N_LIMIT the log-gamma values come from three tables of at
+    most m+1 entries, combined in the same order as the single-count
+    call, so every entry is equal to it; infeasible counts are 0.0.
+    """
+    if n <= EXACT_N_LIMIT:
+        return [float(_exact(n, k, m, j)) for j in range(m + 1)]
+    lo, hi = max(0, m - (n - k)), min(m, k)
+    lg_m = _lgamma_table(0, m)                      # lgamma(x+1), x = 0..m
+    lg_k = _lgamma_table(k - hi, k - lo)            # x = k-j
+    lg_r = _lgamma_table(n - m - k + lo, n - m - k + hi)  # x = n-m-(k-j)
+    lg_rest = math.lgamma(n - m + 1)
+    log_total = _log_comb(n, k)
+    pmf = [0.0] * (m + 1)
+    for j in range(lo, hi + 1):
+        pmf[j] = math.exp(
+            (lg_m[m] - lg_m[j] - lg_m[m - j])
+            + (lg_rest - lg_k[hi - j] - lg_r[j - lo])
+            - log_total
+        )
+    return pmf
+
+
 def binomial_prob(m, m_plus, p):
     """Independent-sample probability C(m, m_plus) p^m_plus (1-p)^(m-m_plus).
 
@@ -95,6 +146,22 @@ def binomial_prob(m, m_plus, p):
     return math.exp(log_pmf)
 
 
+def binomial_pmf(m, p):
+    """``binomial_prob`` for every count 0..m, as a list.
+
+    One table of m+1 log-gamma values serves the whole law; each entry
+    is computed in the same order as the single-count call and equals
+    it.  ``Fraction`` p and the certain cases p = 0 and p = 1 go through
+    ``binomial_prob`` itself.
+    """
+    if isinstance(p, Fraction) or p == 0 or p == 1:
+        return [binomial_prob(m, j, p) for j in range(m + 1)]
+    lg = _lgamma_table(0, m)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return [math.exp(lg[m] - lg[j] - lg[m - j] + j * log_p + (m - j) * log_q)
+            for j in range(m + 1)]
+
+
 def convergence_gap(n_total, p, m):
     """Worst-case |hypergeometric - binomial| over all subsequence counts.
 
@@ -106,9 +173,6 @@ def convergence_gap(n_total, p, m):
         raise ValueError("convergence_gap needs m <= n_total / 10")
     if m == 0:
         return 0.0
-    p_float = float(p)
-    gap = 0.0
-    for m_plus in range(m + 1):
-        params = EnsembleParams(n_total, p, m, m_plus)
-        gap = max(gap, abs(hypergeometric_prob(params) - binomial_prob(m, m_plus, p_float)))
-    return gap
+    k = EnsembleParams(n_total, p, m, 0).n_plus
+    pairs = zip(hypergeometric_pmf(n_total, k, m), binomial_pmf(m, float(p)))
+    return max(abs(h - b) for h, b in pairs)

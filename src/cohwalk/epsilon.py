@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ensemble import EnsembleParams, binomial_prob, hypergeometric_prob
+from .ensemble import binomial_pmf, hypergeometric_pmf
 
 TIE_TOL = 1e-9
 BOUND_TOL = 1e-12
@@ -173,29 +173,21 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
     if n_paths is None:
         if m > MAX_EXACT_TRIALS:
             raise ValueError(f"binomial summation limited to m <= {MAX_EXACT_TRIALS}")
-        false_eps = math.fsum(
-            binomial_prob(m, k, 0.5) for k in range(m, k_min - 1, -1)
-        )
-        p_plus = (1 + epsilon) / 2
-        false_bal = math.fsum(binomial_prob(m, k, p_plus) for k in range(k_min))
-        return TailProbabilities(false_eps, false_bal)
-
-    n = n_paths
-    if m > n:
-        raise ValueError("cannot sample more shifters than paths")
-    if n % 2 != 0:
-        raise ValueError("balanced composition needs an even number of paths")
-    k_biased = (1 + epsilon) * n / 2
-    if abs(k_biased - round(k_biased)) > 1e-9:
-        raise ValueError(f"(1+epsilon)*N/2 = {k_biased} is not an integer")
-    false_eps = math.fsum(
-        hypergeometric_prob(EnsembleParams(n, 0.5, m, k))
-        for k in range(m, k_min - 1, -1)
-    )
-    p_biased = round(k_biased) / n
-    false_bal = math.fsum(
-        hypergeometric_prob(EnsembleParams(n, p_biased, m, k)) for k in range(k_min)
-    )
+        balanced = binomial_pmf(m, 0.5)
+        biased = binomial_pmf(m, (1 + epsilon) / 2)
+    else:
+        n = n_paths
+        if m > n:
+            raise ValueError("cannot sample more shifters than paths")
+        if n % 2 != 0:
+            raise ValueError("balanced composition needs an even number of paths")
+        k_biased = (1 + epsilon) * n / 2
+        if abs(k_biased - round(k_biased)) > 1e-9:
+            raise ValueError(f"(1+epsilon)*N/2 = {k_biased} is not an integer")
+        balanced = hypergeometric_pmf(n, n // 2, m)
+        biased = hypergeometric_pmf(n, round(k_biased), m)
+    false_eps = math.fsum(reversed(balanced[k_min:]))
+    false_bal = math.fsum(biased[:k_min])
     return TailProbabilities(false_eps, false_bal)
 
 

@@ -19,8 +19,8 @@ so the statistics are identical.
 
 The count is drawn by inversion with a lookup table (Devroye 1986,
 *Non-Uniform Random Variate Generation*, ch. III.2): once per run, the
-count law under each hypothesis is built from ``ensemble.binomial_prob``
-or ``ensemble.hypergeometric_prob`` and accumulated into a CDF, and each
+count law under each hypothesis is built by ``ensemble.binomial_pmf`` or
+``ensemble.hypergeometric_pmf`` and accumulated into a CDF, and each
 uniform u maps to the smallest k with cdf[k] >= u by binary search.  The
 test suite checks the draws against ``scipy.stats`` quantile functions,
 which the package itself does not need.
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import decision, epsilon as eps_mod
 from .decoherence import detection_probability
-from .ensemble import EnsembleParams, binomial_prob, hypergeometric_prob
+from .ensemble import binomial_pmf, hypergeometric_pmf
 from .walk import PhasePattern
 
 STRATEGIES = ("classical-dj", "quantum-dj", "classical-eps", "quantum-eps")
@@ -178,7 +177,7 @@ def _count_pmf(config, hypothesis):
         n_paths = n if config.likelihood == "exact-n" else None
         p = float(detection_probability(
             hypothesis, config.nu, epsilon=config.epsilon, n_paths=n_paths))
-        return [binomial_prob(m, k, p) for k in range(m + 1)]
+        return binomial_pmf(m, p)
     if hypothesis == "constant":
         p_plus, k_plus = 1.0, n
     elif hypothesis == "balanced":
@@ -186,9 +185,8 @@ def _count_pmf(config, hypothesis):
     else:
         p_plus, k_plus = (1 + config.epsilon) / 2, round((1 + config.epsilon) * n / 2)
     if config.sampling == "iid":
-        return [binomial_prob(m, k, p_plus) for k in range(m + 1)]
-    params = (EnsembleParams(n, Fraction(k_plus, n), m, k) for k in range(m + 1))
-    return [hypergeometric_prob(p) for p in params]
+        return binomial_pmf(m, p_plus)
+    return hypergeometric_pmf(n, k_plus, m)
 
 
 def _table_count(u, cdf):

@@ -61,16 +61,17 @@ class PhasePattern:
     epsilon: float | None = None
 
     def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
+        signs = tuple(map(int, self.signs))
         object.__setattr__(self, "signs", signs)
-        if len(signs) < 1:
-            raise ValueError("need at least one path")
-        if any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be +1 or -1")
         n = len(signs)
-        total = sum(signs)
+        if n < 1:
+            raise ValueError("need at least one path")
+        plus, minus = signs.count(1), signs.count(-1)
+        if plus + minus != n:
+            raise ValueError("signs must be +1 or -1")
+        total = plus - minus
         if self.promise == "constant":
-            if len(set(signs)) != 1:
+            if plus and minus:
                 raise ValueError("constant promise requires all signs equal")
         elif self.promise == "balanced":
             if n % 2 != 0:
@@ -224,11 +225,13 @@ def transition_table(graph, pattern):
     )
 
 
-def advance(amp, table):
-    """Advance an amplitude array one time step.
+def advance(amp, table, norm):
+    """Advance an amplitude array one time step; return it and its norm.
 
     Axis 0 of ``amp`` runs over edge states; further axes ride along
-    (the joint oracle keeps its marker register there).  Raises
+    (the joint oracle keeps its marker register there).  ``norm`` is
+    ``state_norm(amp)``: a walk passes on the norm each step returns,
+    so every step computes one norm, of its output.  Raises
     ``BoundaryError`` if any amplitude would have to leave the truncated
     tails, and checks that the step preserves the norm.
     """
@@ -245,10 +248,10 @@ def advance(amp, table):
     if moving.any():
         new[table.path_dst] = moving * table.signs.reshape((-1,) + (1,) * (amp.ndim - 1))
     new[table.tail_dst] = amp[table.tail_src]
-    before, after = state_norm(amp), state_norm(new)
-    if abs(after - before) > NORM_TOL:
-        raise AssertionError(f"step broke the norm: {before} -> {after}")
-    return new
+    after = state_norm(new)
+    if abs(after - norm) > NORM_TOL:
+        raise AssertionError(f"step broke the norm: {norm} -> {after}")
+    return new, after
 
 
 def initial_state():
@@ -283,7 +286,7 @@ def step(state, pattern, graph, _table=None):
     amp = np.zeros(graph.n_states, dtype=complex)
     for edge, a in state.items():
         amp[graph.state_index(edge)] = a
-    return _as_dict(graph, advance(amp, table))
+    return _as_dict(graph, advance(amp, table, state_norm(amp))[0])
 
 
 def _walk(pattern, steps, tail_depth):
@@ -297,8 +300,9 @@ def _walk(pattern, steps, tail_depth):
     table = transition_table(graph, pattern)
     amp = np.zeros(graph.n_states, dtype=complex)
     amp[table.a_in[0]] = 1.0  # |0,A>
+    norm = 1.0  # of the single unit amplitude, exactly
     for _ in range(steps):
-        amp = advance(amp, table)
+        amp, norm = advance(amp, table, norm)
     return graph, table, amp
 
 

@@ -122,6 +122,15 @@ class TestClassical:
         assert classical_error(m, n_paths=n) == expected
         assert plus == 4
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 40])
+    def test_without_replacement_at_huge_n(self, m):
+        n = 10**8
+        k = n // 2
+        all_plus = Fraction(1)
+        for i in range(m):
+            all_plus *= Fraction(k - i, n - i)
+        assert classical_error(m, n_paths=n) == HALF * 2 * all_plus
+
     def test_report_fields(self):
         report = classical_report(2)
         assert report.strategy == "classical"

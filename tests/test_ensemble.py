@@ -7,9 +7,12 @@ import pytest
 from scipy import stats
 
 from cohwalk.ensemble import (
+    EXACT_N_LIMIT,
     EnsembleParams,
+    binomial_pmf,
     binomial_prob,
     convergence_gap,
+    hypergeometric_pmf,
     hypergeometric_prob,
     hypergeometric_prob_exact,
 )
@@ -85,6 +88,18 @@ class TestHypergeometric:
             EnsembleParams(10, HALF, 3, 4)  # m_plus > m
 
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 24, 40])
+    def test_exact_matches_comb_definition(self, n):
+        for k in range(n + 1):
+            for m in range(n + 1):
+                total = math.comb(n, k)
+                for j in range(m + 1):
+                    expected = (Fraction(math.comb(m, j) * math.comb(n - m, k - j), total)
+                                if j <= k and m - j <= n - k else 0)
+                    assert hypergeometric_prob_exact(
+                        EnsembleParams(n, Fraction(k, n), m, j)) == expected
+
+
 class TestBinomial:
     def test_fair_coin(self):
         assert binomial_prob(2, 1, HALF) == HALF
@@ -109,6 +124,44 @@ class TestBinomial:
                 assert binomial_prob(m, k, p) == pytest.approx(
                     stats.binom.pmf(k, m, p), rel=1e-10, abs=1e-300
                 )
+
+
+def _single_hypergeometric(n, k, m):
+    return [hypergeometric_prob(EnsembleParams(n, Fraction(k, n), m, j))
+            for j in range(m + 1)]
+
+
+class TestPmf:
+    """The whole-law builders equal the single-count calls exactly."""
+
+    @pytest.mark.parametrize("n", [1, 10, 57, EXACT_N_LIMIT, EXACT_N_LIMIT + 1, 1000,
+                                   10**5, 10**8])
+    def test_hypergeometric_equals_single_counts(self, n):
+        ms = sorted({0, 1, min(n, 7), min(n, 60)})
+        for m in ms:
+            # k = 0 and k = n, k < m, n - k < m, and an interior composition
+            for k in sorted({0, n, max(m - 1, 0), n - max(m - 1, 0), n // 2, n // 3}):
+                assert hypergeometric_pmf(n, k, m) == _single_hypergeometric(n, k, m)
+
+    @pytest.mark.parametrize("n, k, m", [(2000, 1000, 2000), (10**4, 3000, 10**4),
+                                         (10**5, 50_000, 10**4), (10**6, 10, 500)])
+    def test_hypergeometric_large_m(self, n, k, m):
+        assert hypergeometric_pmf(n, k, m) == _single_hypergeometric(n, k, m)
+
+    @pytest.mark.parametrize("p", [0, 1, 0.5, 0.55, 0.01])
+    @pytest.mark.parametrize("m", [0, 1, 2, 13, 1000, 10**4])
+    def test_binomial_equals_single_counts(self, m, p):
+        assert binomial_pmf(m, p) == [binomial_prob(m, j, p) for j in range(m + 1)]
+
+    def test_binomial_stays_exact_for_fractions(self):
+        p = Fraction(3, 7)
+        assert binomial_pmf(13, p) == [binomial_prob(13, j, p) for j in range(14)]
+
+    @pytest.mark.xfail(strict=True, reason="lgamma cancellation in the log-gamma "
+                       "route: the mass is off by 4.8e-9 at N = 935342")
+    def test_mass_near_one_at_large_n(self):
+        assert math.fsum(hypergeometric_pmf(935_342, 101_367, 25)) == pytest.approx(
+            1, abs=1e-9)
 
 
 class TestConvergence:

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from cohwalk import walk
 from cohwalk.walk import (
     BoundaryError,
+    advance,
     PhasePattern,
     build_graph,
     exit_amplitude,
@@ -137,6 +139,26 @@ class TestPhasePattern:
         with pytest.raises(ValueError):
             PhasePattern((1, 0, -1, 1), "balanced")
 
+    @pytest.mark.parametrize("signs, promise, epsilon, message", [
+        ((), "constant", None, "need at least one path"),
+        ((1, 2, -1, 1), "balanced", None, "signs must be"),
+        ((1, -1), "constant", None, "all signs equal"),
+        ((1, -1, 1), "balanced", None, "even number of paths"),
+        ((1, 1, 1, -1), "balanced", None, "exactly half"),
+        ((1, 1), "epsilon", 1.0, r"epsilon in \(0, 1\)"),
+        ((1, 1, 1, -1), "epsilon", 0.3, "not an integer"),
+        ((1, 1, -1, -1), "epsilon", 0.5, "sign sum"),
+        ((1, 1), "biased", None, "unknown promise"),
+    ])
+    def test_each_rejection_names_its_rule(self, signs, promise, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            PhasePattern(signs, promise, epsilon)
+
+    def test_signs_are_stored_as_ints(self):
+        pattern = PhasePattern((np.int64(1), -1.0, True, -1), "balanced")
+        assert pattern.signs == (1, -1, 1, -1)
+        assert all(type(s) is int for s in pattern.signs)
+
 
 class TestStep:
     def test_first_step_is_uniform_fan_out(self):
@@ -223,6 +245,21 @@ class TestStep:
         for steps, horizon in enumerate(horizons):
             state = run_walk(pattern, steps=steps)
             assert set(state) <= horizon
+
+    def test_each_step_computes_one_norm(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(walk, "state_norm",
+                            lambda amp: calls.append(1) or state_norm(amp))
+        exit_amplitude(PhasePattern.constant(6))
+        assert len(calls) == 3
+
+    def test_norm_check_compares_with_the_carried_norm(self):
+        pattern = PhasePattern.constant(4)
+        table = transition_table(build_graph(4), pattern)
+        amp = np.zeros(4 * (4 + 4), dtype=complex)
+        amp[table.a_in[0]] = 1.0
+        with pytest.raises(AssertionError, match="broke the norm"):
+            advance(amp, table, 1.0 + 1e-9)
 
     def test_boundary_error_past_truncation(self):
         pattern = PhasePattern.constant(2)
