@@ -258,6 +258,8 @@ def cmd_mc(args):
         if args.strict:
             raise SystemExit("--strict runs require an explicit --seed")
         args.seed = secrets.randbits(32)
+    if args.n < 1:
+        raise SystemExit("--n must be at least 1")
     config = montecarlo.TrialConfig(
         strategy=args.strategy,
         m=args.m,

@@ -11,11 +11,13 @@ pairwise environment overlaps
 with G[j][j] = 1.  The important special case is a common real overlap
 ``nu``: nu = 1 is full coherence, nu = 0 removes all interference.
 
-This module computes the overlap matrix, the internal-path density
-matrix, the l1 coherence of that matrix, the normalized overlap sum X,
-the exit probability with its coherence bound, and a brute-force
-particle (x) ancilla-register simulation used as an oracle for all of
-the closed forms.
+This module computes the overlaps, the internal-path density matrix,
+the l1 coherence of that matrix, the normalized overlap sum X, the exit
+probability with its coherence bound, and a brute-force particle (x)
+ancilla-register simulation used as an oracle for all of the closed
+forms.  ``overlaps`` returns an O(N) ``Overlaps`` record (G is rank one
+plus a diagonal) and ``rho_int`` of one a ``RhoInt``; ``np.asarray``
+gives either dense, and dense arguments take the dense route.
 """
 
 from __future__ import annotations
@@ -66,18 +68,76 @@ class AncillaSpec:
         return cls(alphas, betas)
 
 
-def overlaps(spec):
-    """Environment overlap matrix G with G[k][j] = <eta_k|eta_j>."""
-    n = spec.n_paths
-    if spec.nu is not None:
-        # exact constant off-diagonals, no sqrt round-off
-        g = np.full((n, n), complex(spec.nu))
+class _Structured:
+    """An N x N matrix kept as O(N) data.  ``np.asarray``, attributes and
+    indexing see the dense matrix; this module's functions read sums."""
+
+    def __array__(self, dtype=None, copy=None):
+        return self._dense()
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._dense(), name)
+
+    def __getitem__(self, key):
+        return self._dense()[key]
+
+    @property
+    def shape(self):
+        return (self.n_paths, self.n_paths)
+
+
+class Overlaps(_Structured):
+    """G as conj(a_k) * a_j off the diagonal and 1 on it, or exactly nu off it."""
+
+    def __init__(self, alphas, nu=None):
+        self.n_paths, self.alphas, self.nu = len(alphas), alphas, nu
+
+    def _dense(self):
+        n = self.n_paths
+        if self.nu is not None:
+            # exact constant off-diagonals, no sqrt round-off
+            g = np.full((n, n), complex(self.nu))
+        else:
+            g = np.outer(self.alphas.conj(), self.alphas)
         np.fill_diagonal(g, 1.0)
         return g
-    a = np.asarray(spec.alphas)
-    g = np.outer(a.conj(), a)
-    np.fill_diagonal(g, 1.0)
-    return g
+
+    def off_diagonal_mass(self):
+        """sum_{j!=k} |G[k][j]| = (sum |a_j|)^2 - sum |a_j|^2, summed as
+        2 sum_k |a_k| sum_{j<k} |a_j| so that no terms cancel."""
+        if self.nu is not None:
+            return float(self.nu) * self.n_paths * (self.n_paths - 1)
+        mods = np.abs(self.alphas)
+        return 2.0 * float(mods[1:] @ np.cumsum(mods)[:-1])
+
+    def signed_sum(self, s):
+        """sum_{j,k} s_j s_k G[k][j] = |sum s_j a_j|^2 - sum |a_j|^2 + N."""
+        n = self.n_paths
+        if self.nu is not None:
+            total = s.sum()
+            return n + float(self.nu) * (total * total - n)
+        mods = np.abs(self.alphas)
+        return abs(s @ self.alphas) ** 2 - mods @ mods + n
+
+
+class RhoInt(_Structured):
+    """rho_int as its pattern and ``Overlaps``: |entry (j, k)| = |G[k][j]| / (N+1)."""
+
+    def __init__(self, pattern, overlap):
+        self.n_paths, self.pattern, self.overlap = overlap.n_paths, pattern, overlap
+
+    def _dense(self):
+        return rho_int(self.pattern, np.asarray(self.overlap))
+
+    def off_diagonal_mass(self):
+        return self.overlap.off_diagonal_mass() / (self.n_paths + 1)
+
+
+def overlaps(spec):
+    """Environment overlaps G[k][j] = <eta_k|eta_j> as an ``Overlaps`` record."""
+    return Overlaps(np.asarray(spec.alphas), spec.nu)
 
 
 def rho_int(pattern, overlap):
@@ -85,25 +145,33 @@ def rho_int(pattern, overlap):
 
     Entry (j, k) is s_j * s_k * G[k][j] / (N+1).  The entry-tail
     component carries the remaining 1/(N+1) of the trace and is excluded
-    from this block, so the trace is N/(N+1).
+    from this block, so the trace is N/(N+1).  An ``Overlaps`` record
+    gives a ``RhoInt`` record, a dense matrix gives a dense matrix.
     """
-    g = np.asarray(overlap)
     n = pattern.n_paths
-    if g.shape != (n, n):
+    if np.shape(overlap) != (n, n):
         raise ValueError("overlap matrix does not match the pattern size")
+    if isinstance(overlap, Overlaps):
+        return RhoInt(pattern, overlap)
     s = np.array(pattern.signs, dtype=float)
-    rho = g * np.outer(s, s)
+    rho = np.asarray(overlap) * np.outer(s, s)
     rho /= n + 1
     return rho.T
 
 
+def _off_diagonal_mass(matrix):
+    if isinstance(matrix, _Structured):
+        return matrix.off_diagonal_mass()
+    mags = np.abs(np.asarray(matrix))
+    return float(mags.sum() - np.trace(mags))
+
+
 def coherence_l1(rho):
     """Sum of the magnitudes of the off-diagonal entries."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    shape = np.shape(rho)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("expected a square matrix")
-    mags = np.abs(rho)
-    return float(mags.sum() - np.trace(mags))
+    return _off_diagonal_mass(rho)
 
 
 def compute_X(overlap):
@@ -112,25 +180,25 @@ def compute_X(overlap):
     Satisfies coherence_l1(rho_int(pattern, G)) == (N+1) * X for every
     sign pattern, since the phase factors have unit modulus.
     """
-    g = np.asarray(overlap)
-    n = g.shape[0]
-    mags = np.abs(g)
-    return float(mags.sum() - np.trace(mags)) / ((n + 1) * (n + 1))
+    n = np.shape(overlap)[0]
+    return _off_diagonal_mass(overlap) / ((n + 1) * (n + 1))
 
 
 def exit_probability(pattern, overlap):
     """Probability of ending on the exit edge, with markers traced out.
 
-    Evaluates sum_{j,k} s_j s_k G[k][j] / (N+1)^2.  The sum is real for
-    Hermitian G; a residual imaginary part above 1e-10 flags a broken
-    overlap matrix.
+    Evaluates sum_{j,k} s_j s_k G[k][j] / (N+1)^2, in O(N) for an
+    ``Overlaps`` record.  The sum is real for Hermitian G; a residual
+    imaginary part above 1e-10 flags a broken overlap matrix.
     """
-    g = np.asarray(overlap)
     n = pattern.n_paths
-    if g.shape != (n, n):
+    if np.shape(overlap) != (n, n):
         raise ValueError("overlap matrix does not match the pattern size")
     s = np.array(pattern.signs, dtype=float)
-    value = complex(s @ g @ s) / ((n + 1) * (n + 1))
+    if isinstance(overlap, Overlaps):
+        value = complex(overlap.signed_sum(s)) / ((n + 1) * (n + 1))
+    else:
+        value = complex(s @ np.asarray(overlap) @ s) / ((n + 1) * (n + 1))
     if abs(value.imag) > IMAG_TOL:
         raise ValueError(f"exit probability has imaginary part {value.imag:g}; "
                          "overlap matrix is not Hermitian")
@@ -167,6 +235,8 @@ def detection_probability(promise, nu, epsilon=None, n_paths=None):
     """
     if not 0 <= nu <= 1:
         raise ValueError("nu must lie in [0, 1]")
+    if n_paths is not None and n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     if promise == "constant":
         if n_paths is None:
             return nu

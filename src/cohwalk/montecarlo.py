@@ -64,6 +64,8 @@ class TrialConfig:
             raise ValueError("experiments must be at least 1")
         if self.m < 1:
             raise ValueError("m must be at least 1")
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
         if not 0 <= self.nu <= 1:

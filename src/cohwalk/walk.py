@@ -61,14 +61,15 @@ class PhasePattern:
     epsilon: float | None = None
 
     def __post_init__(self):
-        signs = tuple(map(int, self.signs))
-        object.__setattr__(self, "signs", signs)
+        # count on the raw values, so 1.5 or "1" is rejected, not truncated
+        signs = tuple(self.signs)
         n = len(signs)
         if n < 1:
             raise ValueError("need at least one path")
         plus, minus = signs.count(1), signs.count(-1)
         if plus + minus != n:
             raise ValueError("signs must be +1 or -1")
+        object.__setattr__(self, "signs", tuple(map(int, signs)))
         total = plus - minus
         if self.promise == "constant":
             if plus and minus:

@@ -209,6 +209,10 @@ class TestInputContract:
          "--experiments", "100", "--seed", "1"],
         ["mc", "--strategy", "classical-eps", "--m", "5", "--epsilon", "1.5",
          "--experiments", "100", "--seed", "1"],
+        ["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "10",
+         "--seed", "1", "--likelihood", "exact-n", "--n", "-1"],
+        ["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "10",
+         "--seed", "1", "--likelihood", "exact-n", "--n", "0"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)
@@ -217,6 +221,13 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_path_count_error_names_flag(self, capsys, n):
+        code = main(["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "10",
+                     "--seed", "1", "--likelihood", "exact-n", "--n", n])
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
 
 
 class TestOutputContract:

@@ -1,6 +1,7 @@
 """Decoherence tests: overlaps, density matrix, coherence, exit bound."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from cohwalk.decoherence import (
     AncillaSpec,
+    Overlaps,
+    RhoInt,
     coherence_l1,
     compute_X,
     detection_probability,
@@ -247,6 +250,12 @@ class TestExitProbability:
             0.005
         )
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_path_count_below_one_rejected(self, n_paths):
+        for promise in ("constant", "balanced"):
+            with pytest.raises(ValueError, match="n_paths"):
+                detection_probability(promise, 0.5, n_paths=n_paths)
+
     def test_nu_outside_unit_interval_rejected(self):
         for nu in (1.5, -0.25, float("nan"), Fraction(3, 2), Fraction(-1, 4)):
             for promise in ("constant", "balanced"):
@@ -283,6 +292,53 @@ class TestBound:
         p, bound = exit_probability_bound(pattern, g)
         assert 0.0 <= p <= bound + 1e-12
         assert np.linalg.eigvalsh(rho_int(pattern, g)).min() > -1e-10
+
+
+class TestStructuredRoute:
+    def test_dense_forms_follow_the_definitions(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 5, 64):
+            spec = random_spec(rng, n)
+            a = np.asarray(spec.alphas)
+            expected = np.outer(a.conj(), a)
+            np.fill_diagonal(expected, 1.0)
+            assert np.array_equal(np.asarray(overlaps(spec)), expected)
+            for nu in (0.0, 0.3, 1.0):
+                expected = np.full((n, n), complex(nu))
+                np.fill_diagonal(expected, 1.0)
+                assert np.array_equal(np.asarray(overlaps(AncillaSpec.uniform(nu, n))), expected)
+
+    def test_records_route_and_densify(self):
+        rng = np.random.default_rng(47)
+        pattern = random_pattern(rng, 6)
+        g = overlaps(random_spec(rng, 6))
+        rho = rho_int(pattern, g)
+        assert isinstance(g, Overlaps) and isinstance(rho, RhoInt)
+        assert g.shape == rho.shape == (6, 6)
+        dense_rho = rho_int(pattern, np.asarray(g))
+        assert type(dense_rho) is np.ndarray
+        assert np.array_equal(np.asarray(rho), dense_rho)
+        assert np.array_equal(rho.T, dense_rho.T)
+        assert np.array_equal(rho[1:, :2], dense_rho[1:, :2])
+
+    def test_budget_builds_no_n_by_n_matrix(self):
+        # one complex N x N matrix at this N would take 160 GB
+        n = 10**5
+        rng = np.random.default_rng(53)
+        spec = random_spec(rng, n)
+        pattern = PhasePattern.balanced(n)
+        tracemalloc.start()
+        try:
+            g = overlaps(spec)
+            p, bound = exit_probability_bound(pattern, g)
+            c_l1 = coherence_l1(rho_int(pattern, g))
+            x = compute_X(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert 0 <= p <= bound
+        assert c_l1 == pytest.approx((n + 1) * x, rel=1e-12)
 
 
 class TestTensorOracle:

@@ -319,6 +319,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="epsilon"):
             TrialConfig(strategy, m=5, experiments=10, seed=1, epsilon=eps)
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_path_count_below_one_rejected(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths"):
+            TrialConfig("quantum-dj", m=2, experiments=10, seed=1, n_paths=n_paths,
+                        likelihood="exact-n")
+
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             config = TrialConfig("quantum-dj", m=2, experiments=10, seed=seed, nu=0.5)

@@ -1,12 +1,25 @@
-"""Property tests: count laws stay probabilities, uniforms ignore partitioning."""
+"""Property tests: count laws stay probabilities, uniforms ignore partitioning,
+and the O(N) coherence route agrees with the dense N x N route."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cohwalk.decoherence import (
+    AncillaSpec,
+    coherence_l1,
+    compute_X,
+    exit_probability,
+    exit_probability_bound,
+    overlaps,
+    rho_int,
+)
 from cohwalk.ensemble import binomial_pmf, hypergeometric_pmf
 from cohwalk.montecarlo import STREAM_BLOCK, experiment_uniforms
+from cohwalk.walk import PhasePattern
 
 
 @st.composite
@@ -60,3 +73,78 @@ def test_uniforms_ignore_partitioning(seed, start, count, data):
     for channel in (0, 1):
         stitched = np.concatenate([piece[channel] for piece in pieces])
         assert np.array_equal(stitched, whole[channel])
+
+
+@st.composite
+def coherence_cases(draw, max_n=64):
+    """A sign pattern on N paths and its markers: random qubits or a common nu."""
+    n = draw(st.integers(1, max_n))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    total = sum(signs)
+    if abs(total) == n:
+        pattern = PhasePattern(signs, "constant")
+    elif total == 0:
+        pattern = PhasePattern(signs, "balanced")
+    else:
+        signs = signs if total > 0 else [-s for s in signs]
+        pattern = PhasePattern(signs, "epsilon", abs(total) / n)
+    if draw(st.booleans()):
+        # subnormal nu has no relative precision left to test
+        nu = draw(st.floats(0, 1, allow_subnormal=False))
+        return pattern, AncillaSpec.uniform(nu, n)
+    angles = st.lists(st.floats(0, math.pi / 2), min_size=n, max_size=n)
+    phases = st.lists(st.floats(0, 2 * math.pi), min_size=n, max_size=n)
+    thetas, phis = draw(angles), draw(phases)
+    alphas = [math.cos(t) * cmath.exp(1j * f) for t, f in zip(thetas, phis)]
+    return pattern, AncillaSpec.per_path(alphas, [math.sin(t) for t in thetas])
+
+
+@settings(max_examples=200, deadline=None)
+@given(coherence_cases())
+def test_structured_route_matches_dense(case):
+    pattern, spec = case
+    n = pattern.n_paths
+    g = overlaps(spec)
+    dense = np.asarray(g)
+    assert abs(exit_probability(pattern, g) - exit_probability(pattern, dense)) <= 1e-12
+    assert abs(compute_X(g) - compute_X(dense)) <= 1e-12
+    assert abs(exit_probability_bound(pattern, g)[1]
+               - exit_probability_bound(pattern, dense)[1]) <= 1e-12
+    rho = rho_int(pattern, g)
+    dense_rho = np.asarray(rho)
+    assert np.array_equal(dense_rho, rho_int(pattern, dense))
+    l1, dense_l1 = coherence_l1(rho), coherence_l1(dense_rho)
+    # The dense route subtracts the trace N/(N+1) from the sum of every
+    # |entry|, so its rounding is relative to that sum, not to l1 alone.
+    assert abs(l1 - dense_l1) <= 1e-12 * (dense_l1 + n / (n + 1))
+    # the l1 identity on the dense route
+    assert abs(dense_l1 - (n + 1) * compute_X(dense)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(coherence_cases())
+# one marker barely rotated: (sum |a|)^2 - sum |a|^2 would cancel to 0
+@example((PhasePattern((1, -1), "balanced"),
+          AncillaSpec.per_path([1.0, math.cos(math.pi / 2)], [0.0, 1.0])))
+def test_structured_l1_is_relatively_exact(case):
+    pattern, spec = case
+    n = pattern.n_paths
+    if spec.nu is not None:
+        exact = float(Fraction(spec.nu) * n * (n - 1) / (n + 1))
+    else:
+        mods = [abs(a) for a in spec.alphas]
+        exact = math.fsum(mods[j] * mods[k] for j in range(n) for k in range(n)
+                          if j != k) / (n + 1)
+    assert math.isclose(coherence_l1(rho_int(pattern, overlaps(spec))), exact,
+                        rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coherence_cases())
+def test_coherence_bound_on_both_routes(case):
+    # p <= N/(N+1)^2 + X (Baumgratz, Cramer & Plenio, PRL 113, 140401, 2014)
+    pattern, spec = case
+    n = pattern.n_paths
+    g = overlaps(spec)
+    for route in (g, np.asarray(g)):
+        assert exit_probability(pattern, route) <= n / (n + 1) ** 2 + compute_X(route) + 1e-12

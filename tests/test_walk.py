@@ -159,6 +159,12 @@ class TestPhasePattern:
         assert pattern.signs == (1, -1, 1, -1)
         assert all(type(s) is int for s in pattern.signs)
 
+    @pytest.mark.parametrize("signs", [(1.5, -1.9), ("1", "-1"), (1, -0.5)])
+    def test_non_integral_signs_rejected(self, signs):
+        # counted before int() runs, so they are not truncated to +-1
+        with pytest.raises(ValueError, match="signs must be"):
+            PhasePattern(signs, "balanced")
+
 
 class TestStep:
     def test_first_step_is_uniform_fan_out(self):
