@@ -173,6 +173,8 @@ def cmd_walk(args):
 
 
 def cmd_decide(args):
+    if args.n < 1:
+        raise SystemExit("--n must be at least 1")
     ms = _int_list(args.m_range)
     nus = _float_list(args.nu_range)
     n_paths = args.n if args.mode == "exact-n" else None
@@ -302,19 +304,25 @@ def _metadata(args, command, keys):
     return meta
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 with one ``error:`` line, like a bad value
+        raise SystemExit(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cohwalk",
+    # no prefix matching: ``epsilon --n 0`` must not read as ``--nu 0``
+    parser = _Parser(
+        prog="cohwalk", allow_abbrev=False,
         description="Interferometer-walk decision problems: sweeps and cross-checks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--output", help="write the table here instead of stdout")
     common.add_argument("--strict", action="store_true",
                         help="forbid implicit seeds (CI mode)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_walk = sub.add_parser("walk", parents=[common],
+    p_walk = sub.add_parser("walk", parents=[common], allow_abbrev=False,
                             help="exit probability for one promise class")
     p_walk.add_argument("--n", type=int, required=True)
     p_walk.add_argument("--promise", choices=["constant", "balanced", "epsilon"],
@@ -325,7 +333,7 @@ def build_parser():
                         help="cross-check against the joint marker simulation (N <= 12)")
     p_walk.set_defaults(func=cmd_walk)
 
-    p_decide = sub.add_parser("decide", parents=[common],
+    p_decide = sub.add_parser("decide", parents=[common], allow_abbrev=False,
                               help="constant-vs-balanced error sweep")
     p_decide.add_argument("--m-range", required=True)
     p_decide.add_argument("--nu-range", required=True)
@@ -333,7 +341,7 @@ def build_parser():
     p_decide.add_argument("--n", type=int, default=1000)
     p_decide.set_defaults(func=cmd_decide)
 
-    p_eps = sub.add_parser("epsilon", parents=[common],
+    p_eps = sub.add_parser("epsilon", parents=[common], allow_abbrev=False,
                            help="balanced-vs-biased error sweep")
     p_eps.add_argument("--epsilon", type=float, required=True)
     p_eps.add_argument("--m-range", required=True)
@@ -341,14 +349,14 @@ def build_parser():
     p_eps.add_argument("--exact-tails", action="store_true")
     p_eps.set_defaults(func=cmd_epsilon)
 
-    p_ens = sub.add_parser("ensemble", parents=[common],
+    p_ens = sub.add_parser("ensemble", parents=[common], allow_abbrev=False,
                            help="subsequence-law convergence diagnostics")
     p_ens.add_argument("--n-list", required=True)
     p_ens.add_argument("--p", type=float, default=0.5)
     p_ens.add_argument("--m", type=int, required=True)
     p_ens.set_defaults(func=cmd_ensemble)
 
-    p_mc = sub.add_parser("mc", parents=[common],
+    p_mc = sub.add_parser("mc", parents=[common], allow_abbrev=False,
                           help="Monte Carlo calibration run")
     p_mc.add_argument("--strategy", choices=list(montecarlo.STRATEGIES), required=True)
     p_mc.add_argument("--m", type=int, required=True)
@@ -367,8 +375,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         table = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

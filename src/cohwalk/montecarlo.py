@@ -17,13 +17,13 @@ measurement outcomes are drawn from the exact walk probabilities rather
 than by collapsing a simulated state vector; the walk is deterministic,
 so the statistics are identical.
 
-The count is drawn by inversion with a lookup table (Devroye 1986,
-*Non-Uniform Random Variate Generation*, ch. III.2): once per run, the
-count law under each hypothesis is built by ``ensemble.binomial_pmf`` or
-``ensemble.hypergeometric_pmf`` and accumulated into a CDF, and each
-uniform u maps to the smallest k with cdf[k] >= u by binary search.  The
-test suite checks the draws against ``scipy.stats`` quantile functions,
-which the package itself does not need.
+Each strategy is a count law plus an error region (``_RULES``).  The
+count is drawn by inversion (Devroye 1986, *Non-Uniform Random Variate
+Generation*, ch. III.2), the smallest k with cdf[k] >= u, so count >= t
+exactly when u > cdf[t - 1]: once per run each hypothesis's error
+region becomes one or two thresholds on u, and an experiment costs one
+or two compares.  The test suite checks this against a table-lookup
+sampler and ``scipy.stats`` quantiles, which the package does not need.
 """
 
 from __future__ import annotations
@@ -38,7 +38,16 @@ from .decoherence import detection_probability
 from .ensemble import binomial_pmf, hypergeometric_pmf
 from .walk import PhasePattern
 
-STRATEGIES = ("classical-dj", "quantum-dj", "classical-eps", "quantum-eps")
+# strategy -> (first, second hypothesis), and the counts t, given (m, epsilon), at
+# which its guess changes between t - 1 and t; below count 0 it guesses the second
+_DJ, _EPS = ("constant", "balanced"), ("epsilon", "balanced")
+_RULES = {
+    "classical-dj": (_DJ, lambda m, eps: (0, 1, m)),  # constant iff all readings agree
+    "quantum-dj": (_DJ, lambda m, eps: (1,)),  # constant on the first exit
+    "classical-eps": (_EPS, lambda m, eps: (eps_mod.detection_count_threshold(m, eps),)),
+    "quantum-eps": (_EPS, lambda m, eps: (1,)),  # biased on the first exit
+}
+STRATEGIES = tuple(_RULES)
 STREAM_BLOCK = 1 << 16  # experiments per Philox stream; fixed by the format
 
 
@@ -137,34 +146,28 @@ def simulate_classical_trials(rng, pattern, m, sampling="iid"):
     return signs[rng.permutation(len(signs))[:m]]
 
 
-def experiment_uniforms(seed, start, count):
-    """Uniform pairs for experiments [start, start + count).
-
-    Identical values for any partition of the index range: each block of
-    STREAM_BLOCK experiments is generated whole from its own Philox key
-    and sliced, so experiment i always sees the same two uniforms.
-    """
-    u_hyp = np.empty(count)
-    u_count = np.empty(count)
-    pos = 0
-    while pos < count:
-        block, offset = divmod(start + pos, STREAM_BLOCK)
-        take = min(STREAM_BLOCK - offset, count - pos)
+def _uniform_blocks(seed, start, count):
+    """Uniform pairs of experiments [start, start + count) as (take, 2) arrays,
+    one per Philox block: each block of STREAM_BLOCK experiments has its own
+    key and draws in sequence, so experiment i sees the same pair however the
+    range is cut, and a block is drawn only up to the last pair it needs."""
+    pos, end = start, start + count
+    while pos < end:
+        block, offset = divmod(pos, STREAM_BLOCK)
+        take = min(STREAM_BLOCK - offset, end - pos)
         # a uint64 key: a plain list holding a seed >= 2**63 goes through float64
         key = np.array([seed, block], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        u = gen.random(2 * STREAM_BLOCK).reshape(STREAM_BLOCK, 2)
-        u_hyp[pos:pos + take] = u[offset:offset + take, 0]
-        u_count[pos:pos + take] = u[offset:offset + take, 1]
+        yield gen.random(2 * (offset + take)).reshape(-1, 2)[offset:]
         pos += take
-    # u = 0 would map to k = 0 even where pmf[0] = 0; clip away the
-    # measure-zero endpoint
-    return u_hyp, np.clip(u_count, 1e-300, None)
 
 
-def _hypotheses(config):
-    """The two hypotheses of a strategy; the prior picks the first when u_hyp < 1/2."""
-    return ("epsilon" if config.strategy.endswith("-eps") else "constant", "balanced")
+def experiment_uniforms(seed, start, count):
+    """Uniform pairs for experiments [start, start + count): the hypothesis
+    uniforms and the count uniforms, identical for any partition."""
+    pairs = np.concatenate(list(_uniform_blocks(seed, start, count)))
+    # u = 0 would map to k = 0 even where pmf[0] = 0: clip the measure-zero end
+    return pairs[:, 0], np.clip(pairs[:, 1], 1e-300, None)
 
 
 def _count_pmf(config, hypothesis):
@@ -191,37 +194,37 @@ def _count_pmf(config, hypothesis):
     return hypergeometric_pmf(n, k_plus, m)
 
 
-def _table_count(u, cdf):
-    """Smallest k with cdf[k] >= u: inversion by table lookup.
+def _error_regions(config):
+    """Per hypothesis, where its experiments guess wrong, as thresholds on the
+    count uniform u: (wrong below every threshold, thresholds where that flips).
 
-    Round-off can leave cdf[m] just below 1; uniforms above it map to m.
+    Below every change count the guess is the second hypothesis.  A threshold
+    below the 1e-300 clip of u (t <= 0 too) is always passed and one at 1 or
+    above (t > m too) never is, so both fold away.
     """
-    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+    hypotheses, changes = _RULES[config.strategy]
+    regions = []
+    for wrong, hypothesis in zip((True, False), hypotheses):
+        cdf = np.cumsum(_count_pmf(config, hypothesis))
+        cuts = [-math.inf if t <= 0 else math.inf if t > config.m else cdf[t - 1]
+                for t in changes(config.m, config.epsilon)]
+        passed = sum(c < 1e-300 for c in cuts)
+        regions.append((wrong != (passed % 2 == 1), [c for c in cuts if 1e-300 <= c < 1]))
+    return regions
 
 
-def _block_errors(config, cdfs, u_hyp, u_count):
-    """Number of wrong guesses among one block of experiments.
-
-    ``cdfs`` maps each hypothesis to the cumulative law of its count;
-    each experiment draws its count under its own hypothesis only.
-    """
-    first, second = _hypotheses(config)
+def _block_errors(config, regions, u):
+    """Number of wrong guesses among one block of (hypothesis, count) uniform pairs."""
     if config.truth == "prior":
-        is_first = u_hyp < 0.5
+        is_first = u[:, 0] < 0.5
     else:
-        is_first = np.full(len(u_hyp), config.truth == first)
-    counts = np.empty(len(u_hyp), dtype=np.int64)
-    for hypothesis, mask in ((first, is_first), (second, ~is_first)):
-        counts[mask] = _table_count(u_count[mask], cdfs[hypothesis])
-
-    m = config.m
-    if config.strategy == "classical-dj":
-        guess_first = (counts == 0) | (counts == m)  # constant iff all readings agree
-    elif config.strategy == "classical-eps":
-        guess_first = counts >= eps_mod.detection_count_threshold(m, config.epsilon)
-    else:  # quantum: constant / biased on the first exit
-        guess_first = counts > 0
-    return int((guess_first != is_first).sum())
+        is_first = np.full(len(u), config.truth == _RULES[config.strategy][0][0])
+    errors = 0
+    for (wrong, thresholds), on_h in zip(regions, (is_first, ~is_first)):
+        for c in thresholds:
+            wrong = wrong ^ (u[:, 1] > c)
+        errors += int(np.count_nonzero(on_h & wrong))
+    return errors
 
 
 def analytic_error(config):
@@ -274,12 +277,9 @@ def run_experiment(config):
     rate; when that is 0 (no errors, or all wrong) it divides by the
     standard error of the analytic rate instead, which is then reported.
     """
-    cdfs = {h: np.cumsum(_count_pmf(config, h)) for h in _hypotheses(config)}
-    total_errors = 0
-    for start in range(0, config.experiments, STREAM_BLOCK):
-        count = min(STREAM_BLOCK, config.experiments - start)
-        u_hyp, u_count = experiment_uniforms(config.seed, start, count)
-        total_errors += _block_errors(config, cdfs, u_hyp, u_count)
+    regions = _error_regions(config)
+    total_errors = sum(_block_errors(config, regions, u)
+                       for u in _uniform_blocks(config.seed, 0, config.experiments))
 
     n = config.experiments
     empirical = total_errors / n

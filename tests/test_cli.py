@@ -213,6 +213,9 @@ class TestInputContract:
          "--seed", "1", "--likelihood", "exact-n", "--n", "-1"],
         ["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "10",
          "--seed", "1", "--likelihood", "exact-n", "--n", "0"],
+        ["epsilon", "--epsilon", "0.5", "--m-range", "2", "--n", "0"],  # not --nu
+        ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", "-1"],
+        ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", "0"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)
@@ -224,10 +227,11 @@ class TestInputContract:
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_path_count_error_names_flag(self, capsys, n):
-        code = main(["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "10",
-                     "--seed", "1", "--likelihood", "exact-n", "--n", n])
-        assert code == 2
-        assert "--n" in capsys.readouterr().err
+        for argv in (["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "10",
+                      "--seed", "1", "--likelihood", "exact-n"],
+                     ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n"]):
+            assert main(argv + ["--n", n]) == 2
+            assert capsys.readouterr().err == "error: --n must be at least 1\n"
 
 
 class TestOutputContract:

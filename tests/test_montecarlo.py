@@ -9,14 +9,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import cohwalk
+from cohwalk import epsilon as eps_mod
 from cohwalk.montecarlo import (
+    _RULES,
     MCResult,
     TrialConfig,
+    _block_errors,
     _count_pmf,
-    _table_count,
+    _error_regions,
     analytic_error,
     experiment_uniforms,
     run_experiment,
@@ -24,6 +28,41 @@ from cohwalk.montecarlo import (
     simulate_classical_trials,
     simulate_quantum_trials,
 )
+
+
+def _table_count(u, cdf):
+    """Smallest k with cdf[k] >= u: inversion by table lookup, the reference
+    for the threshold kernel.
+
+    Round-off can leave cdf[m] just below 1; uniforms above it map to m.
+    """
+    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+
+
+def reference_wrong(config, u_hyp, u_count):
+    """Which guesses are wrong when every count is drawn by table lookup and
+    each strategy's rule is spelled out on the counts (``u_count`` clipped)."""
+    first = "epsilon" if config.strategy.endswith("-eps") else "constant"
+    if config.truth == "prior":
+        is_first = u_hyp < 0.5
+    else:
+        is_first = np.full(len(u_hyp), config.truth == first)
+    counts = np.empty(len(u_hyp), dtype=np.int64)
+    for hypothesis, mask in ((first, is_first), ("balanced", ~is_first)):
+        cdf = np.cumsum(_count_pmf(config, hypothesis))
+        counts[mask] = _table_count(u_count[mask], cdf)
+    m = config.m
+    if config.strategy == "classical-dj":
+        guess_first = (counts == 0) | (counts == m)  # constant iff all readings agree
+    elif config.strategy == "classical-eps":
+        guess_first = counts >= eps_mod.detection_count_threshold(m, config.epsilon)
+    else:  # quantum: constant / biased on the first exit
+        guess_first = counts > 0
+    return guess_first != is_first
+
+
+def reference_errors(config, u_hyp, u_count):
+    return int(reference_wrong(config, u_hyp, u_count).sum())
 
 
 class TestSamplePattern:
@@ -303,6 +342,130 @@ class TestTableSampler:
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         assert out.strip() == "False"
+
+
+# Every strategy and truth tag, m = 1, classical-dj at m = 1 and 2, certain
+# outcomes (nu = 1: p = 1 under constant, p = 0 under balanced), and
+# hypergeometric laws whose first counts have no mass (fewer -1 readings
+# than m)
+KERNEL_CONFIGS = [
+    dict(strategy="quantum-dj", m=1, nu=0.5),
+    dict(strategy="quantum-dj", m=1, nu=1e-7),  # a threshold just below 1
+    dict(strategy="quantum-dj", m=2, nu=1.0),
+    dict(strategy="quantum-dj", m=3, nu=0.0),
+    dict(strategy="quantum-dj", m=2, nu=0.7, truth="constant"),
+    dict(strategy="quantum-dj", m=2, nu=0.7, truth="balanced"),
+    dict(strategy="quantum-dj", m=3, nu=0.3, likelihood="exact-n", n_paths=64),
+    dict(strategy="classical-dj", m=1),
+    dict(strategy="classical-dj", m=2),
+    dict(strategy="classical-dj", m=2, truth="balanced"),
+    dict(strategy="classical-dj", m=5, truth="constant"),
+    dict(strategy="classical-dj", m=8, sampling="hypergeom", n_paths=10),
+    dict(strategy="classical-dj", m=500, sampling="hypergeom", n_paths=1000,
+         truth="balanced"),
+    dict(strategy="classical-eps", m=1, epsilon=0.5),
+    dict(strategy="classical-eps", m=40, epsilon=0.2),
+    dict(strategy="classical-eps", m=40, epsilon=0.2, truth="balanced"),
+    dict(strategy="classical-eps", m=40, epsilon=0.2, truth="epsilon"),
+    dict(strategy="classical-eps", m=8, epsilon=0.2, sampling="hypergeom", n_paths=10),
+    dict(strategy="classical-eps", m=90, epsilon=0.2, sampling="hypergeom", n_paths=100),
+    dict(strategy="quantum-eps", m=1, epsilon=0.5, nu=0.9),
+    dict(strategy="quantum-eps", m=50, epsilon=0.2, nu=1.0),
+    dict(strategy="quantum-eps", m=100, epsilon=0.1, truth="epsilon"),
+    dict(strategy="quantum-eps", m=100, epsilon=0.1, truth="balanced"),
+    dict(strategy="quantum-eps", m=40, epsilon=0.2, nu=0.3, likelihood="exact-n",
+         n_paths=100),
+]
+KERNEL_IDS = ["-".join(str(v) for v in kwargs.values()) for kwargs in KERNEL_CONFIGS]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A valid config: any strategy, truth, sampling and likelihood."""
+    strategy = draw(st.sampled_from(sorted(_RULES)))
+    biased = strategy.endswith("-eps")
+    n_paths = 2 * draw(st.integers(2, 500))
+    sampling = draw(st.sampled_from(["iid", "hypergeom"]))
+    k_plus = draw(st.integers(n_paths // 2 + 1, n_paths - 1))
+    return TrialConfig(
+        strategy,
+        m=draw(st.integers(1, n_paths if sampling == "hypergeom" else 2000)),
+        experiments=draw(st.integers(1, 150_000)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_paths=n_paths,
+        nu=draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0, 1)),
+        epsilon=(2 * k_plus - n_paths) / n_paths if biased else None,
+        likelihood=draw(st.sampled_from(["idealized", "exact-n"])),
+        sampling=sampling,
+        truth=draw(st.sampled_from(["prior", "balanced", "epsilon" if biased else "constant"])),
+    )
+
+
+class TestErrorRegionKernel:
+    @pytest.mark.parametrize("kwargs", KERNEL_CONFIGS, ids=KERNEL_IDS)
+    def test_stream_errors_match_table_reference(self, kwargs):
+        config = TrialConfig(experiments=100_000, seed=101, **kwargs)  # two stream blocks
+        u_hyp, u_count = experiment_uniforms(config.seed, 0, config.experiments)
+        want = reference_errors(config, u_hyp, u_count)
+        assert run_experiment(config).empirical_error == want / config.experiments
+
+    @pytest.mark.parametrize("kwargs", KERNEL_CONFIGS, ids=KERNEL_IDS)
+    def test_boundary_uniforms_match_table_reference(self, kwargs):
+        # u on each CDF step, one float either side of it, and the ends;
+        # the kernel sees u = 0 unclipped, the reference the clipped 1e-300
+        config = TrialConfig(experiments=1, seed=0, **kwargs)
+        steps = np.concatenate([np.cumsum(_count_pmf(config, h))
+                                for h in _RULES[config.strategy][0]])
+        u = np.concatenate([steps, np.nextafter(steps, np.inf), np.nextafter(steps, -np.inf),
+                            [0.0, 1e-300, 0.5, 1 - 2**-53]])
+        u = u[(u >= 0) & (u < 1)]
+        u_hyp, u_count = np.repeat([0.25, 0.75], len(u)), np.tile(u, 2)
+        want = reference_wrong(config, u_hyp, np.clip(u_count, 1e-300, None))
+        regions = _error_regions(config)
+        got = [_block_errors(config, regions, np.array([pair]))
+               for pair in zip(u_hyp, u_count)]
+        assert got == want.astype(int).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_drawn_configs_match_table_reference(self, config):
+        u_hyp, u_count = experiment_uniforms(config.seed, 0, config.experiments)
+        want = reference_errors(config, u_hyp, u_count)
+        assert run_experiment(config).empirical_error == want / config.experiments
+
+
+def region_error(config):
+    """The config's error rate read from the rule table and the two count
+    laws, with no sampling."""
+    hypotheses, changes = _RULES[config.strategy]
+    counts = np.arange(config.m + 1)
+    guess_first = sum(counts >= t for t in changes(config.m, config.epsilon)) % 2 == 1
+    wrong = dict(zip(hypotheses, (~guess_first, guess_first)))
+    error = {h: math.fsum(np.asarray(_count_pmf(config, h), dtype=float)[wrong[h]])
+             for h in hypotheses}
+    if config.truth == "prior":
+        return (error[hypotheses[0]] + error[hypotheses[1]]) / 2
+    return error[config.truth]
+
+
+class TestNoiseFreeRegionCheck:
+    # sampling only moves the classical laws, the likelihood the quantum ones
+    @pytest.mark.parametrize("strategy, mode", [
+        (strategy, mode) for strategy in sorted(_RULES)
+        for mode in ("iid", "hypergeom" if strategy.startswith("classical") else "exact-n")
+    ])
+    def test_analytic_error_is_error_region_mass(self, strategy, mode):
+        flags = {"iid": {}, "hypergeom": {"sampling": "hypergeom", "n_paths": 1000},
+                 "exact-n": {"likelihood": "exact-n", "n_paths": 100}}[mode]
+        biased = strategy.endswith("-eps")
+        worst = 0.0
+        for truth, m, nu in itertools.product(
+                ("prior", "balanced", "epsilon" if biased else "constant"),
+                (1, 2, 7, 50, 200), (0.3, 0.9, 1.0)):
+            config = TrialConfig(strategy, m, 1, 0, nu=nu, epsilon=0.2 if biased else None,
+                                 truth=truth, **flags)
+            worst = max(worst, abs(analytic_error(config) - region_error(config)))
+        assert worst <= 1e-12
 
 
 class TestValidation:
