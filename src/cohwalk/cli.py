@@ -19,7 +19,9 @@ the table is true.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import secrets
 import sys
 from dataclasses import dataclass, field
@@ -30,6 +32,7 @@ from .decoherence import AncillaSpec, detection_probability, full_tensor_oracle
 from .walk import PhasePattern, exit_amplitude, exit_probability_ideal
 
 Z_LIMIT = 4.0
+MAX_LIST_VALUES = 10_000  # values one --m-range, --nu-range or --n-list may give
 
 
 @dataclass
@@ -96,7 +99,13 @@ def parse_csv_table(text):
     return OutputTable(columns or [], rows, metadata)
 
 
-def _int_list(text):
+def _check_length(flag, count):
+    # counted before a range is expanded, so '1:100000000' builds nothing
+    if not count <= MAX_LIST_VALUES:
+        raise ValueError(f"{flag} must list at most {MAX_LIST_VALUES} values")
+
+
+def _int_list(text, flag):
     """Parse '3', '1,2,5' or 'a:b[:step]' (stop inclusive) into ints."""
     values = []
     for part in text.split(","):
@@ -109,13 +118,15 @@ def _int_list(text):
             if step == 0 or (stop - start) * step < 0:
                 raise ValueError(f"integer range {part!r}: step must be nonzero "
                                  "and point from start to stop")
+            _check_length(flag, len(values) + (stop - start) // step + 1)
             values.extend(range(start, stop + (1 if step > 0 else -1), step))
         else:
             values.append(int(part))
+    _check_length(flag, len(values))
     return values
 
 
-def _float_list(text):
+def _float_list(text, flag):
     """Parse '0.5', '0,0.5,1' or 'a:b:step' (stop inclusive) into floats."""
     values = []
     for part in text.split(","):
@@ -123,14 +134,19 @@ def _float_list(text):
             pieces = [float(x) for x in part.split(":")]
             if len(pieces) != 3:
                 raise ValueError("float ranges need start:stop:step")
+            if not all(map(math.isfinite, pieces)):
+                raise ValueError(f"float range {part!r}: start, stop and step "
+                                 "must be finite")
             start, stop, step = pieces
             if step == 0 or (stop - start) * step < 0:
                 raise ValueError(f"float range {part!r}: step must be nonzero "
                                  "and point from start to stop")
-            count = int(round((stop - start) / step))
-            values.extend(start + i * step for i in range(count + 1))
+            span = (stop - start) / step
+            _check_length(flag, len(values) + span + 1)
+            values.extend(start + i * step for i in range(int(round(span)) + 1))
         else:
             values.append(float(part))
+    _check_length(flag, len(values))
     return values
 
 
@@ -175,8 +191,8 @@ def cmd_walk(args):
 def cmd_decide(args):
     if args.n < 1:
         raise SystemExit("--n must be at least 1")
-    ms = _int_list(args.m_range)
-    nus = _float_list(args.nu_range)
+    ms = _int_list(args.m_range, "--m-range")
+    nus = _float_list(args.nu_range, "--nu-range")
     n_paths = args.n if args.mode == "exact-n" else None
     rows = []
     for m in ms:
@@ -201,7 +217,7 @@ def cmd_decide(args):
 
 
 def cmd_epsilon(args):
-    ms = _int_list(args.m_range)
+    ms = _int_list(args.m_range, "--m-range")
     rows = []
     for m in ms:
         miss = eps_mod.quantum_miss_probability(m, args.epsilon, args.nu)
@@ -231,14 +247,16 @@ def cmd_epsilon(args):
 
 
 def cmd_ensemble(args):
-    ns = _int_list(args.n_list)
+    if args.m < 1:  # an empty subsequence has no gap to compare
+        raise SystemExit("--m must be at least 1")
+    ns = _int_list(args.n_list, "--n-list")
     rows = []
     previous_gap = None
     for n in ns:
         if args.m > n / 10:
             raise SystemExit(f"--m {args.m} too large for N={n}: need m <= N/10")
         gap = ensemble.convergence_gap(n, args.p, args.m)
-        ratio = None if previous_gap is None else gap / previous_gap
+        ratio = gap / previous_gap if previous_gap else None  # no ratio after a zero gap
         decreasing_ok = None if previous_gap is None else gap < previous_gap
         k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
         mass = sum(ensemble.hypergeometric_pmf(n, k_plus, args.m))
@@ -309,6 +327,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"{self.prog}: {message}")
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser():
     # no prefix matching: ``epsilon --n 0`` must not read as ``--nu 0``
     parser = _Parser(
@@ -388,8 +407,12 @@ def main(argv=None):
         return 2
     text = table.render(args.format)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: --output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if table.checks_pass else 1

@@ -18,8 +18,13 @@ factors, where the binomials of N have O(N) digits.  As floats, the
 hypergeometric law is that rational up to N = 200 and a log-gamma
 expression beyond, and the binomial law is always log-gamma.
 ``binomial_pmf`` and ``hypergeometric_pmf`` return a whole law over
-0..m from one table of log-gamma values, each entry equal to the
-single-count call.
+0..m, each entry equal to the single-count call.  Their log arguments
+are one numpy expression per law, evaluated in the single-count order
+over a process-wide table of lgamma(x + 1) that grows by doubling; only
+the large-x values of a hypergeometric law (k - j and N - m - k + j)
+are built per call.  ``math.exp`` then maps each argument, since
+``np.exp`` is not bit-identical to libm.  The ranged term builders
+behind them give just the counts a tail sum needs.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 EXACT_N_LIMIT = 200
 
@@ -48,11 +55,11 @@ class EnsembleParams:
     def __post_init__(self):
         if not 0 <= self.m_plus <= self.m <= self.n_total:
             raise ValueError("need 0 <= m_plus <= m <= n_total")
+        if not 0 <= self.p <= 1:  # also rejects nan and inf
+            raise ValueError("p must lie in [0, 1]")
         k = self.p * self.n_total
         if abs(k - round(k)) > 1e-9:
             raise ValueError(f"p * n_total = {k} is not an integer")
-        if not 0 <= round(k) <= self.n_total:
-            raise ValueError("p must lie in [0, 1]")
 
     @property
     def n_plus(self):
@@ -98,35 +105,57 @@ def hypergeometric_prob(params):
     return math.exp(_log_comb(m, j) + _log_comb(n - m, k - j) - _log_comb(n, k))
 
 
-def _lgamma_table(lo, hi):
-    """lgamma(x + 1) for x = lo..hi."""
-    return [math.lgamma(x + 1) for x in range(lo, hi + 1)]
+_LGAMMA = np.zeros(0)   # lgamma(x + 1) for x = 0..len - 1, shared by every law
+
+
+def _lgamma_upto(n):
+    """The shared lgamma(x + 1) table, grown by doubling to cover x = n."""
+    global _LGAMMA
+    table = _LGAMMA
+    size = len(table)
+    if n >= size:
+        grown = max(n + 1, 2 * size)
+        more = np.fromiter(map(math.lgamma, range(size + 1, grown + 1)), float, grown - size)
+        # return the local table: another thread may store a shorter one meanwhile
+        table = _LGAMMA = np.concatenate((table, more))
+    return table
+
+
+def _lgamma_range(first, count):
+    """lgamma(x + 1) for x = first..first + count - 1."""
+    return np.fromiter(map(math.lgamma, range(first + 1, first + count + 1)), float, count)
+
+
+def _exp_list(arg):
+    # math.exp, not np.exp: the single-count calls use libm's exp
+    return list(map(math.exp, arg.tolist()))
+
+
+def _hypergeometric_terms(n, k, m, a, b):
+    """``hypergeometric_prob`` for the counts j = a..b, as a list."""
+    if n <= EXACT_N_LIMIT:
+        return [float(_exact(n, k, m, j)) for j in range(a, b + 1)]
+    lo, hi = max(a, m - (n - k)), min(b, k)
+    if lo > hi:
+        return [0.0] * max(0, b - a + 1)
+    count = hi - lo + 1
+    lg = _lgamma_upto(m)
+    j = np.arange(lo, hi + 1)
+    lg_k = _lgamma_range(k - hi, count)[::-1]           # x = k-j
+    lg_r = _lgamma_range(n - m - k + lo, count)         # x = n-m-(k-j)
+    arg = ((lg[m] - lg[j] - lg[m - j])
+           + (math.lgamma(n - m + 1) - lg_k - lg_r)
+           - _log_comb(n, k))
+    return [0.0] * (lo - a) + _exp_list(arg) + [0.0] * (b - hi)
 
 
 def hypergeometric_pmf(n, k, m):
     """``hypergeometric_prob`` for every count 0..m, as a list.
 
-    ``k`` is the number of +1 entries among the n.  Beyond
-    EXACT_N_LIMIT the log-gamma values come from three tables of at
-    most m+1 entries, combined in the same order as the single-count
-    call, so every entry is equal to it; infeasible counts are 0.0.
+    ``k`` is the number of +1 entries among the n.  Every entry equals
+    the single-count call; infeasible counts are 0.0.
     """
-    if n <= EXACT_N_LIMIT:
-        return [float(_exact(n, k, m, j)) for j in range(m + 1)]
-    lo, hi = max(0, m - (n - k)), min(m, k)
-    lg_m = _lgamma_table(0, m)                      # lgamma(x+1), x = 0..m
-    lg_k = _lgamma_table(k - hi, k - lo)            # x = k-j
-    lg_r = _lgamma_table(n - m - k + lo, n - m - k + hi)  # x = n-m-(k-j)
-    lg_rest = math.lgamma(n - m + 1)
-    log_total = _log_comb(n, k)
-    pmf = [0.0] * (m + 1)
-    for j in range(lo, hi + 1):
-        pmf[j] = math.exp(
-            (lg_m[m] - lg_m[j] - lg_m[m - j])
-            + (lg_rest - lg_k[hi - j] - lg_r[j - lo])
-            - log_total
-        )
-    return pmf
+    return _hypergeometric_terms(n, k, m, 0, m)
 
 
 def binomial_prob(m, m_plus, p):
@@ -146,20 +175,23 @@ def binomial_prob(m, m_plus, p):
     return math.exp(log_pmf)
 
 
+def _binomial_terms(m, p, a, b):
+    """``binomial_prob`` for the counts j = a..b (within 0..m), as a list."""
+    if isinstance(p, Fraction) or p == 0 or p == 1:
+        return [binomial_prob(m, j, p) for j in range(a, b + 1)]
+    lg = _lgamma_upto(m)
+    j = np.arange(a, b + 1)
+    return _exp_list(lg[m] - lg[j] - lg[m - j] + j * math.log(p) + (m - j) * math.log1p(-p))
+
+
 def binomial_pmf(m, p):
     """``binomial_prob`` for every count 0..m, as a list.
 
-    One table of m+1 log-gamma values serves the whole law; each entry
-    is computed in the same order as the single-count call and equals
-    it.  ``Fraction`` p and the certain cases p = 0 and p = 1 go through
-    ``binomial_prob`` itself.
+    Each entry is computed in the same order as the single-count call
+    and equals it.  ``Fraction`` p and the certain cases p = 0 and
+    p = 1 go through ``binomial_prob`` itself.
     """
-    if isinstance(p, Fraction) or p == 0 or p == 1:
-        return [binomial_prob(m, j, p) for j in range(m + 1)]
-    lg = _lgamma_table(0, m)
-    log_p, log_q = math.log(p), math.log1p(-p)
-    return [math.exp(lg[m] - lg[j] - lg[m - j] + j * log_p + (m - j) * log_q)
-            for j in range(m + 1)]
+    return _binomial_terms(m, p, 0, m)
 
 
 def convergence_gap(n_total, p, m):

@@ -7,7 +7,8 @@ never produces an exit, this errs on one side only, missing the bias
 with probability (1 - nu*eps^2)^m.  The classical strategy reads m
 shifters and thresholds their mean Y at eps/2, which can err in both
 directions; multiplicative Chernoff bounds control both tails, and
-exact binomial or hypergeometric summation provides the ground truth.
+exact binomial or hypergeometric summation over just the counts of each
+tail provides the ground truth.
 
 Ties at Y exactly eps/2 count as the biased case.  Threshold arithmetic
 tolerates the float representation of nominal epsilon values (0.2 read
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ensemble import binomial_pmf, hypergeometric_pmf
+from .ensemble import _binomial_terms, _hypergeometric_terms
 
 TIE_TOL = 1e-9
 BOUND_TOL = 1e-12
@@ -161,8 +162,10 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
     With ``n_paths`` unset the readings are independent (binomial counts
     with success probability 1/2 or (1+eps)/2); with it they are drawn
     without replacement from a fixed composition of n_paths shifters
-    (hypergeometric counts).  Terms are accumulated with compensated
-    summation from the far tail.
+    (hypergeometric counts).  Only the counts each tail sums are built
+    (k_min..m under balance, 0..k_min-1 under bias), each equal to its
+    pmf entry; ``math.fsum`` is correctly rounded, so the order of the
+    terms does not change the sum.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -173,8 +176,8 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
     if n_paths is None:
         if m > MAX_EXACT_TRIALS:
             raise ValueError(f"binomial summation limited to m <= {MAX_EXACT_TRIALS}")
-        balanced = binomial_pmf(m, 0.5)
-        biased = binomial_pmf(m, (1 + epsilon) / 2)
+        balanced = _binomial_terms(m, 0.5, k_min, m)
+        biased = _binomial_terms(m, (1 + epsilon) / 2, 0, k_min - 1)
     else:
         n = n_paths
         if m > n:
@@ -184,10 +187,10 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
         k_biased = (1 + epsilon) * n / 2
         if abs(k_biased - round(k_biased)) > 1e-9:
             raise ValueError(f"(1+epsilon)*N/2 = {k_biased} is not an integer")
-        balanced = hypergeometric_pmf(n, n // 2, m)
-        biased = hypergeometric_pmf(n, round(k_biased), m)
-    false_eps = math.fsum(reversed(balanced[k_min:]))
-    false_bal = math.fsum(biased[:k_min])
+        balanced = _hypergeometric_terms(n, n // 2, m, k_min, m)
+        biased = _hypergeometric_terms(n, round(k_biased), m, 0, k_min - 1)
+    false_eps = math.fsum(balanced)
+    false_bal = math.fsum(biased)
     return TailProbabilities(false_eps, false_bal)
 
 

@@ -1,11 +1,18 @@
 """CLI tests: subcommand output, checks, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cohwalk.cli import main, parse_csv_table
+import cohwalk
+from cohwalk.cli import MAX_LIST_VALUES, main, parse_csv_table
 from cohwalk.decoherence import AncillaSpec, compute_X, overlaps
 
 BOOL_FLAGS = {"exact_oracle", "exact_tails", "strict"}
@@ -216,6 +223,7 @@ class TestInputContract:
         ["epsilon", "--epsilon", "0.5", "--m-range", "2", "--n", "0"],  # not --nu
         ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", "-1"],
         ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", "0"],
+        ["ensemble", "--n-list", "20,40", "--m", "0"],  # an empty subsequence
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)
@@ -232,6 +240,165 @@ class TestInputContract:
                      ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n"]):
             assert main(argv + ["--n", n]) == 2
             assert capsys.readouterr().err == "error: --n must be at least 1\n"
+
+
+class TestListLengthCap:
+    # only inputs that are rejected: the cap is checked before a range expands
+    @pytest.mark.parametrize("argv, flag", [
+        (["decide", "--m-range", "1:100000000", "--nu-range", "0.5"], "--m-range"),
+        (["decide", "--m-range", "1", "--nu-range", "0:1:1e-12"], "--nu-range"),
+        (["decide", "--m-range", "1", "--nu-range", "0:1:1e-300"], "--nu-range"),
+        (["epsilon", "--epsilon", "0.5", "--m-range", f"1:{MAX_LIST_VALUES + 1}"], "--m-range"),
+        (["epsilon", "--epsilon", "0.5", "--m-range", "1:10000:2,1:10000:2,7"], "--m-range"),
+        (["ensemble", "--m", "1", "--n-list", "10:1000000000000"], "--n-list"),
+        (["ensemble", "--m", "1", "--n-list", "10," * MAX_LIST_VALUES + "10"], "--n-list"),
+    ])
+    def test_long_lists_exit_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must list at most {MAX_LIST_VALUES} values\n"
+
+    @pytest.mark.parametrize("nu_range", ["0:inf:1", "0:1:nan", "0:1:inf"])
+    def test_non_finite_float_ranges_exit_2(self, capsys, nu_range):
+        assert main(["decide", "--m-range", "1", "--nu-range", nu_range]) == 2
+        assert capsys.readouterr().err.startswith(f"error: float range {nu_range!r}")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaks into the next."""
+
+    A = ["epsilon", "--epsilon", "0.2", "--m-range", "50,100", "--nu", "0.9", "--exact-tails"]
+    MC = ["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "500"]
+
+    def _fresh(self, argv):
+        src = os.path.dirname(os.path.dirname(cohwalk.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "cohwalk.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        return result.returncode, result.stdout, result.stderr
+
+    def _run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_a_b_a_matches_a_fresh_run(self, capsys):
+        first = self._run(capsys, self.A)
+        between = [
+            self._run(capsys, self.MC),                               # implicit seed
+            self._run(capsys, self.MC + ["--strict"]),                # strict, no seed
+            self._run(capsys, ["walk", "--n", "4", "--promise", "constant", "--bogus"]),
+            self._run(capsys, ["decide", "--m-range", "1:3", "--nu-range", "0.5",
+                               "--strict", "--format", "json"]),
+        ]
+        third = self._run(capsys, self.A)
+        assert first == third == self._fresh(self.A)
+        assert [code for code, _, _ in between] == [0, 2, 2, 0]
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        _, out, _ = self._run(capsys, self.MC + ["--seed", "7"])
+        assert parse_csv_table(out).metadata["seed"] == "7"
+        _, out, _ = self._run(capsys, self.MC)
+        assert parse_csv_table(out).metadata["seed"] not in ("", "7")
+        # an implicit seed drawn by the previous call is not a default now
+        code, out, err = self._run(capsys, self.MC + ["--strict"])
+        assert (code, out) == (2, "")
+        assert err == "error: --strict runs require an explicit --seed\n"
+        _, out, _ = self._run(capsys, ["walk", "--n", "4", "--promise", "constant",
+                                       "--format", "json"])
+        assert json.loads(out)["metadata"]["format"] == "json"
+        _, out, _ = self._run(capsys, ["walk", "--n", "4", "--promise", "constant"])
+        assert parse_csv_table(out).metadata["format"] == "csv"
+
+
+# Random command lines: a valid base per subcommand, some of its flags
+# dropped, odd values given to its own or foreign flags, and now and then
+# a junk token inserted.
+BASES = {
+    "walk": ["--n", "8", "--promise", "epsilon", "--epsilon", "0.5", "--nu", "0.5",
+             "--exact-oracle"],
+    "decide": ["--m-range", "1:3", "--nu-range", "0:1:0.5", "--mode", "exact-n", "--n", "8"],
+    "epsilon": ["--epsilon", "0.5", "--m-range", "1,8", "--exact-tails"],
+    "ensemble": ["--n-list", "20,40", "--m", "2", "--p", "0.5"],
+    "mc": ["--strategy", "classical-eps", "--m", "3", "--epsilon", "0.5",
+           "--experiments", "200", "--seed", "1", "--truth", "epsilon"],
+}
+OWN_FLAGS = {
+    "walk": ["--n", "--promise", "--epsilon", "--nu"],
+    "decide": ["--m-range", "--nu-range", "--mode", "--n"],
+    "epsilon": ["--epsilon", "--m-range", "--nu"],
+    "ensemble": ["--n-list", "--p", "--m"],
+    "mc": ["--strategy", "--m", "--nu", "--epsilon", "--experiments", "--seed",
+           "--sampling", "--likelihood", "--n", "--truth"],
+}
+SWITCHES = ["--exact-oracle", "--exact-tails", "--strict"]
+FLAGS = sorted({flag for flags in OWN_FLAGS.values() for flag in flags} | {"--format"})
+VALUES = ["0", "1", "2", "3", "8", "13", "-1", "0.5", "0.25", "1.5", "1e-300", "nan", "inf",
+          "", "x", "1:3", "3:1", "0:1:0.25", "0:1:0", "0:inf:1", "1:2:3:4", "2,4", "0.5,",
+          "constant", "balanced", "epsilon", "idealized", "exact-n", "iid", "hypergeom",
+          "quantum-dj", "classical-dj", "quantum-eps", "classical-eps", "prior", "json",
+          "csv"]
+JUNK = ["--", "-", "--bogus", "-x", "--n=", "--nu=0.5", "--exact", "walk", "extra", "-h"]
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*BASES, "bogus"]))
+    base = BASES.get(command, [])
+    # base flags as (flag, value) pairs, switches alone
+    items, i = [], 0
+    while i < len(base):
+        width = 1 if base[i] in SWITCHES else 2
+        items.append(base[i:i + width])
+        i += width
+    items = [item for item in items if draw(st.integers(0, 5))]
+    flags = st.sampled_from(OWN_FLAGS.get(command, FLAGS) + ["--format"])
+    items += draw(st.lists(st.one_of(
+        st.tuples(flags, st.sampled_from(VALUES)).map(list),
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+        st.sampled_from(SWITCHES).map(lambda flag: [flag]),
+    ), max_size=2))
+    argv = [command] + [token for item in draw(st.permutations(items)) for token in item]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    output = draw(st.sampled_from([None, None, "dir", "file", "missing"]))
+    return argv, output
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+@example((["ensemble", "--n-list", "20,40", "--m", "0"], None))
+@example((["ensemble", "--n-list", "20,40", "--m", "2", "--p", "0"], None))
+@example((["ensemble", "--n-list", "20,40", "--m", "2", "--p", "inf"], None))
+@example((["decide", "--m-range", "1", "--nu-range", "0:inf:1"], None))
+@example((["walk", "--n", "4", "--promise", "constant"], "dir"))
+def test_exit_contract_over_random_argv(out_dir, case):
+    argv, output = case
+    if output is not None:  # only ever written inside out_dir
+        target = {"dir": out_dir, "file": out_dir / "t.csv",
+                  "missing": out_dir / "missing" / "t.csv"}[output]
+        argv = argv + ["--output", str(target)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and -h
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert "error:" not in err
 
 
 class TestOutputContract:

@@ -1,11 +1,15 @@
 """Subsequence-law tests: exact combinatorics and the binomial limit."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
+from cohwalk import ensemble
 from cohwalk.ensemble import (
     EXACT_N_LIMIT,
     EnsembleParams,
@@ -162,6 +166,85 @@ class TestPmf:
     def test_mass_near_one_at_large_n(self):
         assert math.fsum(hypergeometric_pmf(935_342, 101_367, 25)) == pytest.approx(
             1, abs=1e-9)
+
+
+class TestRangedTerms:
+    """The ranged term builders behind the exact tails are slices of the laws."""
+
+    @pytest.mark.parametrize("n, k, m", [(40, 20, 12), (EXACT_N_LIMIT, 150, 30),
+                                         (EXACT_N_LIMIT + 1, 100, 30), (201, 5, 30),
+                                         (201, 196, 30), (1000, 500, 800), (10**5, 60_000, 300)])
+    def test_hypergeometric_slices(self, n, k, m):
+        pmf = hypergeometric_pmf(n, k, m)
+        for a, b in [(0, m), (0, m // 3), (m // 3, m), (m // 2, m // 2), (m // 2, m // 2 - 1),
+                     (0, -1), (m + 1, m)]:
+            assert ensemble._hypergeometric_terms(n, k, m, a, b) == pmf[a:b + 1]
+
+    @pytest.mark.parametrize("p", [0, 1, 0.5, 0.55, Fraction(2, 3)])
+    def test_binomial_slices(self, p):
+        m = 40
+        pmf = binomial_pmf(m, p)
+        for a, b in [(0, m), (0, 9), (30, m), (20, 20), (20, 19), (0, -1)]:
+            assert ensemble._binomial_terms(m, p, a, b) == pmf[a:b + 1]
+
+    LAWS = [("binomial", 5000, 0.3), ("hypergeometric", 10**5, 4000, 3000),
+            ("binomial", 7, 0.3), ("hypergeometric", 1000, 500, 9),
+            ("binomial", 700, 0.45), ("hypergeometric", 10**6, 10, 40)]
+
+    @staticmethod
+    def _build(law):
+        kind, *args = law
+        return binomial_pmf(*args) if kind == "binomial" else hypergeometric_pmf(*args)
+
+    def test_shared_table_is_order_free(self, monkeypatch):
+        results = []
+        for order in (self.LAWS, self.LAWS[::-1], sorted(self.LAWS, key=lambda law: law[-1])):
+            monkeypatch.setattr(ensemble, "_LGAMMA", np.zeros(0))
+            built = {law: self._build(law) for law in order}
+            results.append([built[law] for law in self.LAWS])
+            # the table grows by doubling, to at most twice the largest m
+            assert len(ensemble._LGAMMA) <= 2 * (5000 + 1)
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == [binomial_prob(5000, j, 0.3) for j in range(5001)]
+        assert results[0][3] == _single_hypergeometric(1000, 500, 9)
+
+    def test_shared_table_grown_from_many_threads(self, monkeypatch):
+        # concurrent growth can store a shorter table over a longer one; the
+        # resetter does that on purpose, and no build may see it
+        laws = [("binomial", 3000, 0.3), ("binomial", 20, 0.3),
+                ("hypergeometric", 10**5, 4000, 2000), ("hypergeometric", 1000, 500, 9)]
+        expected = [self._build(law) for law in laws]
+        monkeypatch.setattr(ensemble, "_LGAMMA", np.zeros(0))
+        done, mismatches, interval = threading.Event(), [], sys.getswitchinterval()
+
+        def build(offset):
+            for i in range(40):
+                k = (offset + i) % len(laws)
+                try:
+                    if self._build(laws[k]) != expected[k]:
+                        mismatches.append(laws[k])
+                except IndexError as exc:  # a table shorter than the law's m
+                    mismatches.append(repr(exc))
+
+        def reset():
+            while not done.is_set():
+                ensemble._LGAMMA = np.zeros(0)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            resetter = threading.Thread(target=reset)
+            builders = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+            resetter.start()
+            for thread in builders:
+                thread.start()
+            for thread in builders:
+                thread.join(timeout=60)
+            done.set()
+            resetter.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in builders + [resetter])
+        assert mismatches == []
 
 
 class TestConvergence:

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from cohwalk.decoherence import detection_probability
+from cohwalk.ensemble import binomial_pmf, hypergeometric_pmf
 from cohwalk.epsilon import (
     chernoff_lower,
     chernoff_upper,
@@ -188,6 +189,30 @@ class TestExactTails:
             bounds = classical_error_bounds(m, eps)
             assert tails.false_eps <= bounds.chernoff_false_eps + 1e-12
             assert tails.false_bal <= bounds.chernoff_false_bal + 1e-12
+
+    # (m, eps, n_paths): eps = 1 gives p = 1 (k = N); N <= 200 takes the
+    # exact route and N = 202 the log route; m = 800 of N = 1000 clips both
+    # laws' supports (k < m and N - k < m); m = N puts both tails off support
+    @pytest.mark.parametrize("m, eps, n", [
+        (1, 1.0, None), (4, 1.0, None), (3, 0.2, None), (50, 0.5, None),
+        (1000, 0.1, None), (10**4, 0.1, None), (10**4, 0.25, None),
+        (20, 0.5, 200), (50, 1.0, 200), (8, 20 / 101, 202), (30, 1.0, 202),
+        (800, 0.2, 1000), (1000, 0.1, 1000), (10**4, 0.1, 10**5), (2 * 10**4, 0.1, 10**5),
+    ])
+    def test_equal_sums_of_pmf_slices(self, m, eps, n):
+        k_min = detection_count_threshold(m, eps)
+        if n is None:
+            balanced, biased = binomial_pmf(m, 0.5), binomial_pmf(m, (1 + eps) / 2)
+        else:
+            balanced = hypergeometric_pmf(n, n // 2, m)
+            biased = hypergeometric_pmf(n, round((1 + eps) * n / 2), m)
+        tails = exact_tail_probabilities(m, eps, n)
+        assert tails.false_eps == math.fsum(balanced[k_min:])
+        assert tails.false_bal == math.fsum(biased[:k_min])
+
+    def test_tails_off_support_are_zero(self):
+        # the whole sequence is sampled, so each count is certain
+        assert exact_tail_probabilities(1000, 0.1, n_paths=1000) == (0.0, 0.0)
 
     def test_rejects_oversized_requests(self):
         with pytest.raises(ValueError):
