@@ -1,10 +1,10 @@
 """Monte Carlo vs closed forms: every error rate earns its keep.
 
-Each configuration samples hypotheses, realizes patterns, simulates the
-trial outcomes from the exact per-run probabilities, applies the
-decision rule, and reports the empirical error next to the analytic
-target with a z-score.  Streams are counter-based in (seed, experiment
-index), so a repeated seed reproduces every digit.
+Each configuration samples hypotheses, draws each experiment's count
+statistic (exits or +1 readings over the m trials) from its exact count
+law, applies the decision rule, and reports the empirical error next to
+the analytic target with a z-score.  Streams are counter-based in
+(seed, experiment index), so a repeated seed reproduces every digit.
 """
 
 from cohwalk import TrialConfig, run_experiment

@@ -38,31 +38,24 @@ from .decoherence import (
 )
 from .decision import (
     DEFAULT_PRIOR,
-    DecisionReport,
     PriorSpec,
     classical_error,
     classical_posterior_all_same,
-    classical_report,
     coherence_threshold,
     enumerate_two_trial_table,
     quantum_error,
     quantum_posterior_all_zero,
-    quantum_report,
 )
 from .epsilon import (
     ClassicalErrorBounds,
-    EpsilonReport,
     MissProbability,
     TailProbabilities,
     chernoff_lower,
     chernoff_upper,
     classical_error_bounds,
     detection_count_threshold,
-    epsilon_report,
     exact_tail_probabilities,
-    is_epsilon_decision,
     quantum_miss_probability,
-    y_statistic,
 )
 from .ensemble import (
     EnsembleParams,
@@ -78,7 +71,4 @@ from .montecarlo import (
     TrialConfig,
     analytic_error,
     run_experiment,
-    sample_pattern,
-    simulate_classical_trials,
-    simulate_quantum_trials,
 )

@@ -32,7 +32,13 @@ from .decoherence import AncillaSpec, detection_probability, full_tensor_oracle
 from .walk import PhasePattern, exit_amplitude, exit_probability_ideal
 
 Z_LIMIT = 4.0
+GAP_NOISE = 1e-12  # a convergence gap this small is float noise: the two laws coincide
 MAX_LIST_VALUES = 10_000  # values one --m-range, --nu-range or --n-list may give
+# Sizes: at 10^6 a count law over 0..m or the walk over N paths takes 0.2-2 s and
+# 140-400 MB, and 10^9 experiments take ~35 s (2-vCPU VM)
+MAX_TRIALS = 10**6        # --m and every --m-range value
+MAX_PATHS = 10**6         # --n
+MAX_EXPERIMENTS = 10**9   # --experiments
 
 
 @dataclass
@@ -83,20 +89,19 @@ def _fmt(value):
     return str(value)
 
 
-def parse_csv_table(text):
-    """Inverse of ``OutputTable.to_csv`` (cells stay strings)."""
-    metadata, columns, rows = {}, None, []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            metadata[key] = value
-        elif columns is None:
-            columns = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return OutputTable(columns or [], rows, metadata)
+def _check_size(flag, value, limit):
+    if value < 1:
+        raise SystemExit(f"{flag} must be at least 1")
+    if value > limit:
+        raise SystemExit(f"{flag} must be at most {limit}")
+
+
+def _trials(text, flag):
+    """An --m-range list, every value at most MAX_TRIALS."""
+    values = _int_list(text, flag)
+    if max(values) > MAX_TRIALS:
+        raise SystemExit(f"{flag} values must be at most {MAX_TRIALS}")
+    return values
 
 
 def _check_length(flag, count):
@@ -161,6 +166,7 @@ def _require_pattern(args):
 
 
 def cmd_walk(args):
+    _check_size("--n", args.n, MAX_PATHS)
     pattern = _require_pattern(args)
     p_analytic = float(
         detection_probability(args.promise, args.nu, epsilon=args.epsilon, n_paths=args.n)
@@ -189,9 +195,8 @@ def cmd_walk(args):
 
 
 def cmd_decide(args):
-    if args.n < 1:
-        raise SystemExit("--n must be at least 1")
-    ms = _int_list(args.m_range, "--m-range")
+    _check_size("--n", args.n, MAX_PATHS)
+    ms = _trials(args.m_range, "--m-range")
     nus = _float_list(args.nu_range, "--nu-range")
     n_paths = args.n if args.mode == "exact-n" else None
     rows = []
@@ -202,11 +207,10 @@ def cmd_decide(args):
         for nu in nus:
             q_err = float(decision.quantum_error(m, nu, n_paths=n_paths))
             post_c, _ = decision.quantum_posterior_all_zero(m, nu, n_paths=n_paths)
-            p_b = detection_probability("balanced", nu, n_paths=n_paths)
-            p_c = detection_probability("constant", nu, n_paths=n_paths)
-            evidence = ((1 - p_c) ** m + (1 - p_b) ** m) / 2
+            miss_c, miss_b = decision.no_exit_likelihoods("constant", m, nu, n_paths=n_paths)
             # the ambiguous branch must rebuild the full error by Bayes
-            recomposed = float(post_c) * float(evidence) + 0.5 * float(1 - (1 - p_b) ** m)
+            evidence = (miss_c + miss_b) / 2
+            recomposed = float(post_c) * float(evidence) + 0.5 * float(1 - miss_b)
             bayes_ok = abs(recomposed - q_err) <= 1e-12
             rows.append([m, nu, c_err, q_err, threshold, bayes_ok])
     return OutputTable(
@@ -217,7 +221,7 @@ def cmd_decide(args):
 
 
 def cmd_epsilon(args):
-    ms = _int_list(args.m_range, "--m-range")
+    ms = _trials(args.m_range, "--m-range")
     rows = []
     for m in ms:
         miss = eps_mod.quantum_miss_probability(m, args.epsilon, args.nu)
@@ -247,8 +251,7 @@ def cmd_epsilon(args):
 
 
 def cmd_ensemble(args):
-    if args.m < 1:  # an empty subsequence has no gap to compare
-        raise SystemExit("--m must be at least 1")
+    _check_size("--m", args.m, MAX_TRIALS)  # an empty subsequence has no gap to compare
     ns = _int_list(args.n_list, "--n-list")
     rows = []
     previous_gap = None
@@ -257,7 +260,8 @@ def cmd_ensemble(args):
             raise SystemExit(f"--m {args.m} too large for N={n}: need m <= N/10")
         gap = ensemble.convergence_gap(n, args.p, args.m)
         ratio = gap / previous_gap if previous_gap else None  # no ratio after a zero gap
-        decreasing_ok = None if previous_gap is None else gap < previous_gap
+        decreasing_ok = None if previous_gap is None else (
+            gap < previous_gap or gap <= GAP_NOISE)
         k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
         mass = sum(ensemble.hypergeometric_pmf(n, k_plus, args.m))
         normalization_ok = abs(mass - 1.0) <= 1e-9
@@ -278,8 +282,9 @@ def cmd_mc(args):
         if args.strict:
             raise SystemExit("--strict runs require an explicit --seed")
         args.seed = secrets.randbits(32)
-    if args.n < 1:
-        raise SystemExit("--n must be at least 1")
+    _check_size("--n", args.n, MAX_PATHS)
+    _check_size("--m", args.m, MAX_TRIALS)
+    _check_size("--experiments", args.experiments, MAX_EXPERIMENTS)
     config = montecarlo.TrialConfig(
         strategy=args.strategy,
         m=args.m,

@@ -46,18 +46,6 @@ class PriorSpec:
 DEFAULT_PRIOR = PriorSpec()
 
 
-@dataclass(frozen=True)
-class DecisionReport:
-    """Summary of an m-trial strategy: rule, ambiguous posterior, error."""
-
-    strategy: str
-    m: int
-    nu: object = None
-    posterior_ambiguous: object = None
-    guess_rule: str = ""
-    error_probability: object = None
-
-
 def _all_same_given_balanced(m, n_paths=None):
     """P(all m sampled shifters agree | balanced pattern)."""
     if n_paths is None:
@@ -95,6 +83,18 @@ def classical_error(m, prior=DEFAULT_PRIOR, n_paths=None):
     return prior.p_balanced * _all_same_given_balanced(m, n_paths)
 
 
+def no_exit_likelihoods(first, m, nu, epsilon=None, n_paths=None):
+    """P(no exit in m runs) under ``first`` ("constant" or "epsilon") and
+    under a balanced pattern: ((1 - p_first)^m, (1 - p_balanced)^m).
+
+    The quantum rule errs on ``first`` exactly when no run exits, and on a
+    balanced pattern (only with the finite-N leak) when some run does.
+    """
+    p_first = detection_probability(first, nu, epsilon=epsilon, n_paths=n_paths)
+    p_balanced = detection_probability("balanced", nu, n_paths=n_paths)
+    return (1 - p_first) ** m, (1 - p_balanced) ** m
+
+
 def quantum_posterior_all_zero(m, nu, n_paths=None):
     """Posteriors (P(constant), P(balanced)) after m runs with no exit.
 
@@ -103,10 +103,7 @@ def quantum_posterior_all_zero(m, nu, n_paths=None):
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    p_c = detection_probability("constant", nu, n_paths=n_paths)
-    p_b = detection_probability("balanced", nu, n_paths=n_paths)
-    miss_c = (1 - p_c) ** m
-    miss_b = (1 - p_b) ** m
+    miss_c, miss_b = no_exit_likelihoods("constant", m, nu, n_paths=n_paths)
     evidence = miss_c + miss_b
     return miss_c / evidence, miss_b / evidence
 
@@ -120,11 +117,9 @@ def quantum_error(m, nu, n_paths=None):
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    p_c = detection_probability("constant", nu, n_paths=n_paths)
-    p_b = detection_probability("balanced", nu, n_paths=n_paths)
+    miss_c, miss_b = no_exit_likelihoods("constant", m, nu, n_paths=n_paths)
     half = Fraction(1, 2)
-    err = half * (1 - p_c) ** m + half * (1 - (1 - p_b) ** m)
-    return err
+    return half * miss_c + half * (1 - miss_b)
 
 
 def coherence_threshold(m):
@@ -136,28 +131,6 @@ def coherence_threshold(m):
     if m < 1:
         raise ValueError("m must be at least 1")
     return 1.0 - 2.0 ** (1.0 / m) / 2.0
-
-
-def classical_report(m, prior=DEFAULT_PRIOR, n_paths=None):
-    return DecisionReport(
-        strategy="classical",
-        m=m,
-        posterior_ambiguous=classical_posterior_all_same(m, prior, n_paths),
-        guess_rule="constant iff all m readings agree",
-        error_probability=classical_error(m, prior, n_paths),
-    )
-
-
-def quantum_report(m, nu, n_paths=None):
-    p_c, _ = quantum_posterior_all_zero(m, nu, n_paths)
-    return DecisionReport(
-        strategy="quantum",
-        m=m,
-        nu=nu,
-        posterior_ambiguous=p_c,
-        guess_rule="balanced iff no run exits",
-        error_probability=quantum_error(m, nu, n_paths),
-    )
 
 
 def enumerate_two_trial_table(nu):
@@ -176,8 +149,7 @@ def enumerate_two_trial_table(nu):
         ((-1, 1), 0, 1, "balanced"),
         ((-1, -1), 1 - third, third, "constant"),
     ]
-    miss_sq = (1 - nu) ** 2
-    p_c_00 = miss_sq / (miss_sq + 1)
+    p_c_00, _ = quantum_posterior_all_zero(2, nu)
     quantum = [
         ((0, 0), p_c_00, 1 - p_c_00, "balanced"),
         ((0, 1), 1, 0, "constant"),

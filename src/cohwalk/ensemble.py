@@ -17,14 +17,15 @@ with k = pN and x^(j) = x (x-1) ... (x-j+1): products of at most m
 factors, where the binomials of N have O(N) digits.  As floats, the
 hypergeometric law is that rational up to N = 200 and a log-gamma
 expression beyond, and the binomial law is always log-gamma.
-``binomial_pmf`` and ``hypergeometric_pmf`` return a whole law over
-0..m, each entry equal to the single-count call.  Their log arguments
-are one numpy expression per law, evaluated in the single-count order
-over a process-wide table of lgamma(x + 1) that grows by doubling; only
-the large-x values of a hypergeometric law (k - j and N - m - k + j)
-are built per call.  ``math.exp`` then maps each argument, since
-``np.exp`` is not bit-identical to libm.  The ranged term builders
-behind them give just the counts a tail sum needs.
+Each law is written once, as a term builder over a range of counts:
+``binomial_prob`` and ``hypergeometric_prob`` take one count,
+``binomial_pmf`` and ``hypergeometric_pmf`` the whole law over 0..m,
+and the exact tails just the counts each tail sums.  The log arguments
+are one numpy expression per law over a process-wide table of
+lgamma(x + 1) that grows by doubling; only the large-x values of a
+hypergeometric law (k - j and N - m - k + j) are built per call.
+``math.exp`` then maps each argument, since ``np.exp`` is not
+bit-identical to libm.
 """
 
 from __future__ import annotations
@@ -96,13 +97,8 @@ def hypergeometric_prob(params):
     (relative accuracy around 1e-12).  Infeasible compositions have
     probability 0 rather than raising.
     """
-    n, k = params.n_total, params.n_plus
-    m, j = params.m, params.m_plus
-    if j > k or m - j > n - k:
-        return 0.0
-    if n <= EXACT_N_LIMIT:
-        return float(hypergeometric_prob_exact(params))
-    return math.exp(_log_comb(m, j) + _log_comb(n - m, k - j) - _log_comb(n, k))
+    j = params.m_plus
+    return _hypergeometric_terms(params.n_total, params.n_plus, params.m, j, j)[0]
 
 
 _LGAMMA = np.zeros(0)   # lgamma(x + 1) for x = 0..len - 1, shared by every law
@@ -127,7 +123,7 @@ def _lgamma_range(first, count):
 
 
 def _exp_list(arg):
-    # math.exp, not np.exp: the single-count calls use libm's exp
+    # math.exp, not np.exp: np.exp is not bit-identical to libm's exp
     return list(map(math.exp, arg.tolist()))
 
 
@@ -163,33 +159,33 @@ def binomial_prob(m, m_plus, p):
 
     Stays exact when ``p`` is a ``fractions.Fraction``.
     """
-    if not 0 <= m_plus <= m:
-        return 0.0
-    if isinstance(p, Fraction):
-        return math.comb(m, m_plus) * p**m_plus * (1 - p) ** (m - m_plus)
-    if p == 0:
-        return 1.0 if m_plus == 0 else 0.0
-    if p == 1:
-        return 1.0 if m_plus == m else 0.0
-    log_pmf = _log_comb(m, m_plus) + m_plus * math.log(p) + (m - m_plus) * math.log1p(-p)
-    return math.exp(log_pmf)
+    return _binomial_terms(m, p, m_plus, m_plus)[0]
 
 
 def _binomial_terms(m, p, a, b):
-    """``binomial_prob`` for the counts j = a..b (within 0..m), as a list."""
-    if isinstance(p, Fraction) or p == 0 or p == 1:
-        return [binomial_prob(m, j, p) for j in range(a, b + 1)]
-    lg = _lgamma_upto(m)
-    j = np.arange(a, b + 1)
-    return _exp_list(lg[m] - lg[j] - lg[m - j] + j * math.log(p) + (m - j) * math.log1p(-p))
+    """``binomial_prob`` for the counts j = a..b, as a list (0.0 outside 0..m)."""
+    lo, hi = max(a, 0), min(b, m)
+    if lo > hi:
+        return [0.0] * max(0, b - a + 1)
+    if isinstance(p, Fraction):
+        terms = [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(lo, hi + 1)]
+    elif p == 0 or p == 1:  # a point mass at 0 or at m
+        terms = [0.0] * (hi - lo + 1)
+        certain = 0 if p == 0 else m
+        if lo <= certain <= hi:
+            terms[certain - lo] = 1.0
+    else:
+        lg = _lgamma_upto(m)
+        j = np.arange(lo, hi + 1)
+        terms = _exp_list(lg[m] - lg[j] - lg[m - j] + j * math.log(p) + (m - j) * math.log1p(-p))
+    return [0.0] * (lo - a) + terms + [0.0] * (b - hi)
 
 
 def binomial_pmf(m, p):
     """``binomial_prob`` for every count 0..m, as a list.
 
-    Each entry is computed in the same order as the single-count call
-    and equals it.  ``Fraction`` p and the certain cases p = 0 and
-    p = 1 go through ``binomial_prob`` itself.
+    ``Fraction`` p keeps exact entries; the certain cases p = 0 and p = 1
+    are a point mass.
     """
     return _binomial_terms(m, p, 0, m)
 

@@ -19,13 +19,11 @@ slack when the real-valued cutoff is mapped to an integer count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ensemble import _binomial_terms, _hypergeometric_terms
 
 TIE_TOL = 1e-9
-BOUND_TOL = 1e-12
 MAX_EXACT_TRIALS = 10**4
 
 
@@ -47,28 +45,6 @@ class TailProbabilities(NamedTuple):
     false_bal: float    # P(Y < eps/2 | biased)
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
-    """Both strategies' error figures for one (m, epsilon, nu) setting."""
-
-    epsilon: float
-    m: int
-    nu: float
-    quantum_miss: float
-    classical_false_eps: float
-    classical_false_bal: float
-    exact_false_eps: float | None = None
-    exact_false_bal: float | None = None
-
-    def __post_init__(self):
-        if self.exact_false_eps is not None:
-            if self.exact_false_eps > self.classical_false_eps + BOUND_TOL:
-                raise AssertionError("exact false-eps tail exceeds its bound")
-        if self.exact_false_bal is not None:
-            if self.exact_false_bal > self.classical_false_bal + BOUND_TOL:
-                raise AssertionError("exact false-balanced tail exceeds its bound")
-
-
 def quantum_miss_probability(m, epsilon, nu=1.0):
     """Probability that m runs on a biased pattern never see an exit.
 
@@ -86,21 +62,6 @@ def quantum_miss_probability(m, epsilon, nu=1.0):
     exact = (1.0 - rate) ** m
     approx = math.exp(-m * rate)
     return MissProbability(exact, approx, approx - exact)
-
-
-def y_statistic(samples):
-    """Mean of a sequence of +/-1 shifter readings."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("y_statistic needs at least one sample")
-    if any(s not in (1, -1) for s in samples):
-        raise ValueError("samples must be +1 or -1")
-    return sum(samples) / len(samples)
-
-
-def is_epsilon_decision(y, epsilon):
-    """Threshold rule: declare the biased case iff Y >= eps/2 (ties included)."""
-    return y >= epsilon / 2 - TIE_TOL
 
 
 def detection_count_threshold(m, epsilon):
@@ -192,23 +153,3 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
     false_eps = math.fsum(balanced)
     false_bal = math.fsum(biased)
     return TailProbabilities(false_eps, false_bal)
-
-
-def epsilon_report(m, epsilon, nu=1.0, n_paths=None, include_exact=True):
-    """Assemble the full error report for one parameter setting."""
-    miss = quantum_miss_probability(m, epsilon, nu)
-    bounds = classical_error_bounds(m, epsilon)
-    exact_eps = exact_bal = None
-    if include_exact:
-        tails = exact_tail_probabilities(m, epsilon, n_paths)
-        exact_eps, exact_bal = tails.false_eps, tails.false_bal
-    return EpsilonReport(
-        epsilon=epsilon,
-        m=m,
-        nu=nu,
-        quantum_miss=miss.exact,
-        classical_false_eps=bounds.chernoff_false_eps,
-        classical_false_bal=bounds.chernoff_false_bal,
-        exact_false_eps=exact_eps,
-        exact_false_bal=exact_bal,
-    )

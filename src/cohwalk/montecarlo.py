@@ -1,10 +1,12 @@
 """Seeded Monte Carlo calibration of the closed-form error probabilities.
 
-An *experiment* samples a hypothesis, realizes a phase pattern from its
-ensemble, simulates the m trial outcomes of the chosen strategy, applies
-that strategy's decision rule, and records whether the guess was wrong.
-``run_experiment`` repeats this and compares the empirical error rate
-against the analytic target via a z-score.
+An *experiment* samples a hypothesis, draws the strategy's sufficient
+count statistic over its m trials from that hypothesis's count law,
+applies the strategy's decision rule to the count, and records whether
+the guess was wrong.  ``run_experiment`` repeats this and compares the
+empirical error rate against the analytic target via a z-score; that
+target is each strategy's closed-form error given either hypothesis,
+averaged under the prior.
 
 Randomness is counter-based: experiment i consumes exactly two uniforms,
 one to pick the hypothesis and one to invert the CDF of the sufficient
@@ -12,10 +14,9 @@ count statistic (number of detections, or number of +1 readings).  The
 uniforms come from a Philox stream keyed by (seed, i // STREAM_BLOCK) at
 offset i % STREAM_BLOCK, a pure function of seed and experiment index,
 so results are bit-reproducible and independent of execution order or
-how the experiment range is partitioned across workers.  Per-run
-measurement outcomes are drawn from the exact walk probabilities rather
-than by collapsing a simulated state vector; the walk is deterministic,
-so the statistics are identical.
+how the experiment range is partitioned across workers.  The count laws
+use the exact per-run walk probabilities, so no pattern or state vector
+is realized: the walk is deterministic, and the statistics are the same.
 
 Each strategy is a count law plus an error region (``_RULES``).  The
 count is drawn by inversion (Devroye 1986, *Non-Uniform Random Variate
@@ -36,7 +37,6 @@ import numpy as np
 from . import decision, epsilon as eps_mod
 from .decoherence import detection_probability
 from .ensemble import binomial_pmf, hypergeometric_pmf
-from .walk import PhasePattern
 
 # strategy -> (first, second hypothesis), and the counts t, given (m, epsilon), at
 # which its guess changes between t - 1 and t; below count 0 it guesses the second
@@ -107,43 +107,6 @@ class MCResult:
     std_error: float
     analytic_error: float
     z_score: float
-
-
-def sample_pattern(rng, promise, n_paths, epsilon=None, sign=1):
-    """Draw a pattern uniformly from the promised ensemble.
-
-    Constant patterns are deterministic; balanced and biased ones are a
-    uniformly random arrangement of the fixed sign composition.
-    """
-    if promise == "constant":
-        return PhasePattern.constant(n_paths, sign)
-    if promise == "balanced":
-        base = PhasePattern.balanced(n_paths)
-    elif promise == "epsilon":
-        base = PhasePattern.epsilon_biased(n_paths, epsilon)
-    else:
-        raise ValueError(f"unknown promise {promise!r}")
-    signs = tuple(int(s) for s in rng.permutation(base.signs))
-    return PhasePattern(signs, promise, base.epsilon)
-
-
-def simulate_quantum_trials(rng, pattern, nu, m, likelihood="idealized"):
-    """m exit indicators for a pattern: independent draws at the exact rate."""
-    n_paths = pattern.n_paths if likelihood == "exact-n" else None
-    p = float(
-        detection_probability(pattern.promise, nu, epsilon=pattern.epsilon, n_paths=n_paths)
-    )
-    return (rng.random(m) < p).astype(np.int64)
-
-
-def simulate_classical_trials(rng, pattern, m, sampling="iid"):
-    """m shifter readings, with or without replacement of the positions."""
-    signs = np.array(pattern.signs)
-    if sampling == "iid":
-        return signs[rng.integers(0, len(signs), m)]
-    if m > len(signs):
-        raise ValueError("cannot sample more shifters than paths")
-    return signs[rng.permutation(len(signs))[:m]]
 
 
 def _uniform_blocks(seed, start, count):
@@ -227,47 +190,30 @@ def _block_errors(config, regions, u):
     return errors
 
 
-def analytic_error(config):
-    """Closed-form target matching the config's modes and truth tag."""
-    m = config.m
-    n_paths = config.n_paths if config.likelihood == "exact-n" else None
+def _errors(config):
+    """(error | first hypothesis, error | balanced) of the config's strategy,
+    the hypotheses in ``_RULES`` order."""
+    strategy, m = config.strategy, config.m
     sample_n = config.n_paths if config.sampling == "hypergeom" else None
-
-    if config.strategy == "classical-dj":
-        if config.truth == "constant":
-            return 0.0
-        err_given_bal = float(2 * decision.classical_error(m, n_paths=sample_n))
-        return err_given_bal if config.truth == "balanced" else err_given_bal / 2
-
-    if config.strategy == "quantum-dj":
-        p_c = detection_probability("constant", config.nu, n_paths=n_paths)
-        p_b = detection_probability("balanced", config.nu, n_paths=n_paths)
-        err_c = (1 - p_c) ** m
-        err_b = 1 - (1 - p_b) ** m
-        if config.truth == "constant":
-            return float(err_c)
-        if config.truth == "balanced":
-            return float(err_b)
-        return float(decision.quantum_error(m, config.nu, n_paths=n_paths))
-
-    if config.strategy == "classical-eps":
+    if strategy == "classical-dj":  # a balanced pattern errs when all m readings agree
+        return 0.0, float(decision._all_same_given_balanced(m, sample_n))
+    if strategy == "classical-eps":
         tails = eps_mod.exact_tail_probabilities(m, config.epsilon, n_paths=sample_n)
-        if config.truth == "balanced":
-            return tails.false_eps
-        if config.truth == "epsilon":
-            return tails.false_bal
-        return (tails.false_eps + tails.false_bal) / 2
+        return tails.false_bal, tails.false_eps
+    # quantum: the first hypothesis errs when no run exits, the balanced one on any exit
+    n_paths = config.n_paths if config.likelihood == "exact-n" else None
+    miss_first, miss_balanced = decision.no_exit_likelihoods(
+        _RULES[strategy][0][0], m, config.nu, epsilon=config.epsilon, n_paths=n_paths)
+    return miss_first, 1 - miss_balanced
 
-    # quantum-eps
-    p_eps = detection_probability("epsilon", config.nu, epsilon=config.epsilon, n_paths=n_paths)
-    p_bal = detection_probability("balanced", config.nu, n_paths=n_paths)
-    miss = (1 - p_eps) ** m          # false balanced, given the biased case
-    false_eps = 1 - (1 - p_bal) ** m
-    if config.truth == "epsilon":
-        return float(miss)
-    if config.truth == "balanced":
-        return float(false_eps)
-    return float((miss + false_eps) / 2)
+
+def analytic_error(config):
+    """Closed-form target matching the config's modes and truth tag: the
+    error given the tagged hypothesis, or the mean of both under the prior."""
+    first_error, balanced_error = _errors(config)
+    if config.truth == "prior":
+        return float((first_error + balanced_error) / 2)
+    return float(balanced_error if config.truth == "balanced" else first_error)
 
 
 def run_experiment(config):

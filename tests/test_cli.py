@@ -12,11 +12,29 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cohwalk
-from cohwalk.cli import MAX_LIST_VALUES, main, parse_csv_table
+from cohwalk.cli import (
+    MAX_EXPERIMENTS, MAX_LIST_VALUES, MAX_PATHS, MAX_TRIALS, OutputTable, main,
+)
 from cohwalk.decoherence import AncillaSpec, compute_X, overlaps
 
 BOOL_FLAGS = {"exact_oracle", "exact_tails", "strict"}
 NON_FLAG_KEYS = {"command", "version"}
+
+
+def parse_csv_table(text):
+    """Inverse of ``OutputTable.to_csv`` (cells stay strings)."""
+    metadata, columns, rows = {}, None, []
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            metadata[key] = value
+        elif columns is None:
+            columns = line.split(",")
+        else:
+            rows.append(line.split(","))
+    return OutputTable(columns or [], rows, metadata)
 
 
 def run_cli(capsys, argv):
@@ -156,6 +174,16 @@ class TestEnsembleCommand:
         code, _ = run_cli(capsys, ["ensemble", "--n-list", "100", "--m", "11"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--m", "1"], ["--m", "2", "--p", "0"],
+                                       ["--m", "2", "--p", "1"]])
+    def test_coinciding_laws_pass(self, capsys, flags):
+        # for m = 1 and for p in {0, 1} both laws are the same: every gap is 0 or noise
+        code, out = run_cli(capsys, ["ensemble", "--n-list", "20,40,400", *flags])
+        assert code == 0
+        table = parse_csv_table(out)
+        assert [cell(table, "decreasing_ok", r) for r in range(3)] == ["", "true", "true"]
+        assert all(float(cell(table, "gap", r)) <= 1e-12 for r in range(3))
+
 
 class TestMcCommand:
     def test_calibration_run(self, capsys):
@@ -265,6 +293,39 @@ class TestListLengthCap:
         assert capsys.readouterr().err.startswith(f"error: float range {nu_range!r}")
 
 
+class TestSizeCaps:
+    BIG = str(2**64)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "--strategy", "classical-eps", "--m", BIG, "--epsilon", "0.5", "--seed", "1"],
+         f"--m must be at most {MAX_TRIALS}"),
+        (["mc", "--strategy", "quantum-dj", "--m", str(MAX_TRIALS + 1), "--seed", "1"],
+         f"--m must be at most {MAX_TRIALS}"),
+        (["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", BIG, "--seed", "1"],
+         f"--experiments must be at most {MAX_EXPERIMENTS}"),
+        (["mc", "--strategy", "quantum-dj", "--m", "2", "--experiments", "0", "--seed", "1"],
+         "--experiments must be at least 1"),
+        (["mc", "--strategy", "classical-dj", "--m", "2", "--sampling", "hypergeom",
+          "--n", BIG, "--seed", "1"], f"--n must be at most {MAX_PATHS}"),
+        (["walk", "--n", BIG, "--promise", "constant"], f"--n must be at most {MAX_PATHS}"),
+        (["walk", "--n", str(MAX_PATHS + 1), "--promise", "constant"],
+         f"--n must be at most {MAX_PATHS}"),
+        (["walk", "--n", "0", "--promise", "constant"], "--n must be at least 1"),
+        (["decide", "--m-range", BIG, "--nu-range", "0.5"],
+         f"--m-range values must be at most {MAX_TRIALS}"),
+        (["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", BIG],
+         f"--n must be at most {MAX_PATHS}"),
+        (["epsilon", "--epsilon", "0.5", "--m-range", f"1,{MAX_TRIALS + 1}"],
+         f"--m-range values must be at most {MAX_TRIALS}"),
+        (["ensemble", "--n-list", BIG, "--m", BIG], f"--m must be at most {MAX_TRIALS}"),
+    ])
+    def test_sizes_above_the_cap_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; no call leaks into the next."""
 
@@ -339,7 +400,7 @@ VALUES = ["0", "1", "2", "3", "8", "13", "-1", "0.5", "0.25", "1.5", "1e-300", "
           "", "x", "1:3", "3:1", "0:1:0.25", "0:1:0", "0:inf:1", "1:2:3:4", "2,4", "0.5,",
           "constant", "balanced", "epsilon", "idealized", "exact-n", "iid", "hypergeom",
           "quantum-dj", "classical-dj", "quantum-eps", "classical-eps", "prior", "json",
-          "csv"]
+          "csv", str(MAX_PATHS + 1), str(2**64)]
 JUNK = ["--", "-", "--bogus", "-x", "--n=", "--nu=0.5", "--exact", "walk", "extra", "-h"]
 
 
@@ -379,6 +440,8 @@ def command_lines(draw):
 @example((["ensemble", "--n-list", "20,40", "--m", "2", "--p", "inf"], None))
 @example((["decide", "--m-range", "1", "--nu-range", "0:inf:1"], None))
 @example((["walk", "--n", "4", "--promise", "constant"], "dir"))
+@example((["mc", "--strategy", "quantum-dj", "--m", str(2**64), "--seed", "1"], None))
+@example((["walk", "--n", str(2**64), "--promise", "constant"], None))
 def test_exit_contract_over_random_argv(out_dir, case):
     argv, output = case
     if output is not None:  # only ever written inside out_dir

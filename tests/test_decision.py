@@ -10,12 +10,11 @@ from cohwalk.decision import (
     PriorSpec,
     classical_error,
     classical_posterior_all_same,
-    classical_report,
     coherence_threshold,
     enumerate_two_trial_table,
+    no_exit_likelihoods,
     quantum_error,
     quantum_posterior_all_zero,
-    quantum_report,
 )
 
 HALF = Fraction(1, 2)
@@ -131,12 +130,6 @@ class TestClassical:
             all_plus *= Fraction(k - i, n - i)
         assert classical_error(m, n_paths=n) == HALF * 2 * all_plus
 
-    def test_report_fields(self):
-        report = classical_report(2)
-        assert report.strategy == "classical"
-        assert report.posterior_ambiguous == Fraction(2, 3)
-        assert report.error_probability == Fraction(1, 4)
-
 
 class TestQuantum:
     def test_posterior_examples(self):
@@ -170,6 +163,25 @@ class TestQuantum:
             err = quantum_error(m, Fraction(1))
             assert err == 0
 
+    @pytest.mark.parametrize("n_paths", [None, 1, 7, 1000])
+    def test_no_exit_likelihoods_follow_definition(self, n_paths):
+        # (1 - p)^m per hypothesis, from the finite-N rates written out
+        def rate(promise, nu, eps):
+            if n_paths is None:
+                return {"constant": nu, "balanced": 0, "epsilon": nu * eps**2}[promise]
+            n = n_paths
+            leak = (1 - nu) * n
+            return {"constant": n + nu * n * (n - 1), "balanced": leak,
+                    "epsilon": leak + nu * eps**2 * n**2}[promise] / Fraction((n + 1) ** 2)
+
+        eps = Fraction(1, 4)
+        for m in (1, 2, 9):
+            for nu in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                for first in ("constant", "epsilon"):
+                    got = no_exit_likelihoods(first, m, nu, epsilon=eps, n_paths=n_paths)
+                    assert got == ((1 - rate(first, nu, eps)) ** m,
+                                   (1 - rate("balanced", nu, eps)) ** m)
+
     def test_finite_n_correction_is_small(self):
         n = 1000
         for m in range(1, 11):
@@ -177,13 +189,6 @@ class TestQuantum:
                 idealized = float(quantum_error(m, nu))
                 exact = float(quantum_error(m, nu, n_paths=n))
                 assert abs(exact - idealized) <= 10 * m / n
-
-    def test_report_fields(self):
-        report = quantum_report(2, HALF)
-        assert report.strategy == "quantum"
-        assert report.nu == HALF
-        assert report.posterior_ambiguous == Fraction(1, 5)
-        assert report.error_probability == Fraction(1, 8)
 
 
 class TestThreshold:

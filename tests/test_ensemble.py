@@ -168,6 +168,46 @@ class TestPmf:
             1, abs=1e-9)
 
 
+def _log_comb(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def scalar_binomial(m, j, p):
+    """The log-gamma binomial term written count by count: the reference for
+    the array expression, in the same association order."""
+    return math.exp(_log_comb(m, j) + j * math.log(p) + (m - j) * math.log1p(-p))
+
+
+def scalar_hypergeometric(n, k, m, j):
+    """The log-gamma hypergeometric term written count by count (N > 200)."""
+    if j > k or m - j > n - k:
+        return 0.0
+    return math.exp(_log_comb(m, j) + _log_comb(n - m, k - j) - _log_comb(n, k))
+
+
+class TestScalarReference:
+    """Each law's array expression equals its term written out count by count."""
+
+    @pytest.mark.parametrize("p", [0.5, 0.55, 0.01, 0.999])
+    @pytest.mark.parametrize("m", [1, 2, 13, 1000, 10**4])
+    def test_binomial(self, m, p):
+        assert binomial_pmf(m, p) == [scalar_binomial(m, j, p) for j in range(m + 1)]
+
+    @pytest.mark.parametrize("n, k, m", [(201, 100, 60), (201, 5, 30), (201, 196, 30),
+                                         (1000, 333, 60), (10**5, 50_000, 2000),
+                                         (10**6, 10, 500), (10**8, 5 * 10**7, 60)])
+    def test_hypergeometric(self, n, k, m):
+        assert hypergeometric_pmf(n, k, m) == [scalar_hypergeometric(n, k, m, j)
+                                               for j in range(m + 1)]
+
+    def test_certain_laws_are_point_masses(self):
+        m = 10**4
+        assert binomial_pmf(m, 0.0) == [1.0] + [0.0] * m
+        assert binomial_pmf(m, 1.0) == [0.0] * m + [1.0]
+        assert ensemble._binomial_terms(m, 0.0, 1, m) == [0.0] * m
+        assert ensemble._binomial_terms(m, 1, m - 2, m + 1) == [0.0, 0.0, 1.0, 0.0]
+
+
 class TestRangedTerms:
     """The ranged term builders behind the exact tails are slices of the laws."""
 

@@ -15,11 +15,8 @@ from cohwalk.epsilon import (
     chernoff_upper,
     classical_error_bounds,
     detection_count_threshold,
-    epsilon_report,
     exact_tail_probabilities,
-    is_epsilon_decision,
     quantum_miss_probability,
-    y_statistic,
 )
 
 
@@ -59,19 +56,6 @@ class TestMissProbability:
 
 
 class TestYStatistic:
-    def test_examples(self):
-        assert y_statistic([1, 1, -1, -1]) == 0.0
-        assert y_statistic([1, 1, 1, -1]) == 0.5
-        assert y_statistic([1] * 7) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            y_statistic([])
-
-    def test_threshold_rule_ties_go_to_epsilon(self):
-        assert is_epsilon_decision(0.1, 0.2)
-        assert not is_epsilon_decision(0.0999999, 0.2)
-
     def test_count_threshold(self):
         # m=4, eps=1: Y >= 0.5 means at least 3 plus readings
         assert detection_count_threshold(4, 1.0) == 3
@@ -234,15 +218,3 @@ class TestOneSidedness:
 
     def test_quantum_false_eps_idealized_is_zero(self):
         assert detection_probability("balanced", 0.7) == 0.0
-
-
-class TestEpsilonReport:
-    def test_report_consistency(self):
-        report = epsilon_report(100, 0.1, nu=1.0)
-        assert report.quantum_miss == pytest.approx(0.99**100, abs=1e-14)
-        assert report.exact_false_eps <= report.classical_false_eps + 1e-12
-        assert report.exact_false_bal <= report.classical_false_bal + 1e-12
-
-    def test_report_without_exact_tails(self):
-        report = epsilon_report(100, 0.1, include_exact=False)
-        assert report.exact_false_eps is None

@@ -1,11 +1,10 @@
-"""Monte Carlo tests: ensemble sampling, trial simulation, calibration."""
+"""Monte Carlo tests: the count sampler, its error regions, calibration."""
 
 import itertools
 import math
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,9 +23,6 @@ from cohwalk.montecarlo import (
     analytic_error,
     experiment_uniforms,
     run_experiment,
-    sample_pattern,
-    simulate_classical_trials,
-    simulate_quantum_trials,
 )
 
 
@@ -63,95 +59,6 @@ def reference_wrong(config, u_hyp, u_count):
 
 def reference_errors(config, u_hyp, u_count):
     return int(reference_wrong(config, u_hyp, u_count).sum())
-
-
-class TestSamplePattern:
-    def test_constant_is_deterministic(self):
-        rng = np.random.default_rng(0)
-        pattern = sample_pattern(rng, "constant", 6, sign=-1)
-        assert pattern.signs == (-1,) * 6
-
-    def test_balanced_arrangements_are_uniform(self):
-        rng = np.random.default_rng(101)
-        draws = 60000
-        counts = Counter(
-            sample_pattern(rng, "balanced", 4).signs for _ in range(draws)
-        )
-        arrangements = [
-            arr for arr in itertools.product((1, -1), repeat=4) if sum(arr) == 0
-        ]
-        assert set(counts) == set(arrangements)
-        expected = draws / 6
-        sigma = math.sqrt(draws * (1 / 6) * (5 / 6))
-        for arr in arrangements:
-            assert abs(counts[arr] - expected) <= 3 * sigma
-
-    def test_biased_arrangements_are_uniform(self):
-        rng = np.random.default_rng(202)
-        draws = 40000
-        counts = Counter(
-            sample_pattern(rng, "epsilon", 4, epsilon=0.5).signs for _ in range(draws)
-        )
-        # 3 plus signs in 4 slots: four arrangements
-        assert set(counts) == {
-            (-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)
-        }
-        sigma = math.sqrt(draws * 0.25 * 0.75)
-        for count in counts.values():
-            assert abs(count - draws / 4) <= 3 * sigma
-
-    def test_infeasible_composition_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_pattern(rng, "balanced", 5)
-        with pytest.raises(ValueError):
-            sample_pattern(rng, "epsilon", 4, epsilon=0.3)
-
-
-class TestSimulateTrials:
-    def test_quantum_certainties(self):
-        rng = np.random.default_rng(1)
-        const = sample_pattern(rng, "constant", 8)
-        balanced = sample_pattern(rng, "balanced", 8)
-        assert simulate_quantum_trials(rng, const, 1.0, 20).tolist() == [1] * 20
-        assert simulate_quantum_trials(rng, balanced, 0.7, 20).tolist() == [0] * 20
-
-    def test_quantum_rate_concentrates(self):
-        rng = np.random.default_rng(2)
-        const = sample_pattern(rng, "constant", 8)
-        outcomes = simulate_quantum_trials(rng, const, 0.5, 100_000)
-        sigma = math.sqrt(0.25 / 100_000)
-        assert abs(outcomes.mean() - 0.5) <= 3 * sigma
-
-    def test_classical_constant_reads_equal(self):
-        rng = np.random.default_rng(3)
-        pattern = sample_pattern(rng, "constant", 10, sign=-1)
-        assert set(simulate_classical_trials(rng, pattern, 7).tolist()) == {-1}
-
-    def test_without_replacement_exhausts_balanced_pair(self):
-        rng = np.random.default_rng(4)
-        pattern = sample_pattern(rng, "balanced", 2)
-        for _ in range(50):
-            reads = simulate_classical_trials(rng, pattern, 2, sampling="hypergeom")
-            assert sorted(reads.tolist()) == [-1, 1]
-
-    def test_iid_all_same_frequency(self):
-        rng = np.random.default_rng(5)
-        pattern = sample_pattern(rng, "balanced", 1000)
-        draws = 40000
-        hits = 0
-        for _ in range(draws):
-            reads = simulate_classical_trials(rng, pattern, 5)
-            hits += len(set(reads.tolist())) == 1
-        expected = 2 * 0.5**5
-        sigma = math.sqrt(expected * (1 - expected) / draws)
-        assert abs(hits / draws - expected) <= 3 * sigma
-
-    def test_without_replacement_needs_enough_paths(self):
-        rng = np.random.default_rng(6)
-        pattern = sample_pattern(rng, "balanced", 4)
-        with pytest.raises(ValueError):
-            simulate_classical_trials(rng, pattern, 5, sampling="hypergeom")
 
 
 class TestRunExperiment:
