@@ -37,10 +37,7 @@ from .decoherence import (
     rho_int,
 )
 from .decision import (
-    DEFAULT_PRIOR,
-    PriorSpec,
     classical_error,
-    classical_posterior_all_same,
     coherence_threshold,
     enumerate_two_trial_table,
     quantum_error,

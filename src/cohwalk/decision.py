@@ -1,7 +1,7 @@
 """Bayesian error analysis for the constant-vs-balanced decision problem.
 
-Two strategies distinguish a constant pattern from a balanced one using
-m trials:
+Two strategies distinguish a constant pattern from a balanced one, each
+1/2 a priori (the paper's prior), using m trials:
 
 * classical: read m phase shifters; guess constant iff all m agree.
 * quantum:   run the 3-step walk m times and watch the exit edge; guess
@@ -20,30 +20,10 @@ values for probabilities keeps every result exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .decoherence import detection_probability
 from .ensemble import EnsembleParams, hypergeometric_prob_exact
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Prior over the three hypotheses: constant +1, constant -1, balanced."""
-
-    p_constant_plus: Fraction = Fraction(1, 4)
-    p_constant_minus: Fraction = Fraction(1, 4)
-    p_balanced: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        total = self.p_constant_plus + self.p_constant_minus + self.p_balanced
-        if total != 1:
-            raise ValueError(f"prior probabilities sum to {total}, not 1")
-        if min(self.p_constant_plus, self.p_constant_minus, self.p_balanced) < 0:
-            raise ValueError("prior probabilities must be non-negative")
-
-
-DEFAULT_PRIOR = PriorSpec()
 
 
 def _all_same_given_balanced(m, n_paths=None):
@@ -58,29 +38,16 @@ def _all_same_given_balanced(m, n_paths=None):
     return 2 * hypergeometric_prob_exact(params)
 
 
-def classical_posterior_all_same(m, prior=DEFAULT_PRIOR, n_paths=None):
-    """P(constant +1 | m sampled shifters all read +1).
-
-    Equals 2^(m-1) / (1 + 2^(m-1)) under the default prior; other priors
-    go through the same Bayes computation.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    like_balanced = _all_same_given_balanced(m, n_paths) / 2  # all +1 specifically
-    evidence = prior.p_constant_plus + prior.p_balanced * like_balanced
-    return prior.p_constant_plus / evidence
-
-
-def classical_error(m, prior=DEFAULT_PRIOR, n_paths=None):
+def classical_error(m, n_paths=None):
     """Error probability of "guess constant iff all m readings agree".
 
     The rule only errs on a balanced pattern that happens to give m equal
-    readings, so the error is p_balanced * P(all same | balanced), which
-    is 2^-m under the default prior and independent sampling.
+    readings, so the error is 1/2 * P(all same | balanced), which is 2^-m
+    under independent sampling.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return prior.p_balanced * _all_same_given_balanced(m, n_paths)
+    return Fraction(1, 2) * _all_same_given_balanced(m, n_paths)
 
 
 def no_exit_likelihoods(first, m, nu, epsilon=None, n_paths=None):
@@ -134,7 +101,7 @@ def coherence_threshold(m):
 
 
 def enumerate_two_trial_table(nu):
-    """Posterior tables for both two-trial strategies under default priors.
+    """Posterior tables for both two-trial strategies under the prior.
 
     Returns ``{"classical": [...], "quantum": [...]}`` where each row is
     ``(outcome, p_constant, p_balanced, guess)``.  Classical outcomes are

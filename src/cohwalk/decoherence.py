@@ -15,9 +15,10 @@ This module computes the overlaps, the internal-path density matrix,
 the l1 coherence of that matrix, the normalized overlap sum X, the exit
 probability with its coherence bound, and a brute-force particle (x)
 ancilla-register simulation used as an oracle for all of the closed
-forms.  ``overlaps`` returns an O(N) ``Overlaps`` record (G is rank one
-plus a diagonal) and ``rho_int`` of one a ``RhoInt``; ``np.asarray``
-gives either dense, and dense arguments take the dense route.
+forms.  G is rank one plus a diagonal, so ``overlaps`` returns it as an
+O(N) ``Overlaps`` record and ``rho_int`` returns a ``RhoInt`` record;
+every quantity here is a sum read off those records in O(N) time and
+memory, and no N x N matrix is built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .walk import advance, build_graph, state_norm, transition_table
 
-IMAG_TOL = 1e-10
 BOUND_TOL = 1e-12
 ORACLE_MAX_PATHS = 12
 
@@ -68,41 +68,11 @@ class AncillaSpec:
         return cls(alphas, betas)
 
 
-class _Structured:
-    """An N x N matrix kept as O(N) data.  ``np.asarray``, attributes and
-    indexing see the dense matrix; this module's functions read sums."""
-
-    def __array__(self, dtype=None, copy=None):
-        return self._dense()
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._dense(), name)
-
-    def __getitem__(self, key):
-        return self._dense()[key]
-
-    @property
-    def shape(self):
-        return (self.n_paths, self.n_paths)
-
-
-class Overlaps(_Structured):
+class Overlaps:
     """G as conj(a_k) * a_j off the diagonal and 1 on it, or exactly nu off it."""
 
     def __init__(self, alphas, nu=None):
         self.n_paths, self.alphas, self.nu = len(alphas), alphas, nu
-
-    def _dense(self):
-        n = self.n_paths
-        if self.nu is not None:
-            # exact constant off-diagonals, no sqrt round-off
-            g = np.full((n, n), complex(self.nu))
-        else:
-            g = np.outer(self.alphas.conj(), self.alphas)
-        np.fill_diagonal(g, 1.0)
-        return g
 
     def off_diagonal_mass(self):
         """sum_{j!=k} |G[k][j]| = (sum |a_j|)^2 - sum |a_j|^2, summed as
@@ -122,14 +92,11 @@ class Overlaps(_Structured):
         return abs(s @ self.alphas) ** 2 - mods @ mods + n
 
 
-class RhoInt(_Structured):
+class RhoInt:
     """rho_int as its pattern and ``Overlaps``: |entry (j, k)| = |G[k][j]| / (N+1)."""
 
     def __init__(self, pattern, overlap):
         self.n_paths, self.pattern, self.overlap = overlap.n_paths, pattern, overlap
-
-    def _dense(self):
-        return rho_int(self.pattern, np.asarray(self.overlap))
 
     def off_diagonal_mass(self):
         return self.overlap.off_diagonal_mass() / (self.n_paths + 1)
@@ -145,33 +112,17 @@ def rho_int(pattern, overlap):
 
     Entry (j, k) is s_j * s_k * G[k][j] / (N+1).  The entry-tail
     component carries the remaining 1/(N+1) of the trace and is excluded
-    from this block, so the trace is N/(N+1).  An ``Overlaps`` record
-    gives a ``RhoInt`` record, a dense matrix gives a dense matrix.
+    from this block, so the trace is N/(N+1).  Returned as a ``RhoInt``
+    record of the pattern and the ``Overlaps``.
     """
-    n = pattern.n_paths
-    if np.shape(overlap) != (n, n):
+    if overlap.n_paths != pattern.n_paths:
         raise ValueError("overlap matrix does not match the pattern size")
-    if isinstance(overlap, Overlaps):
-        return RhoInt(pattern, overlap)
-    s = np.array(pattern.signs, dtype=float)
-    rho = np.asarray(overlap) * np.outer(s, s)
-    rho /= n + 1
-    return rho.T
-
-
-def _off_diagonal_mass(matrix):
-    if isinstance(matrix, _Structured):
-        return matrix.off_diagonal_mass()
-    mags = np.abs(np.asarray(matrix))
-    return float(mags.sum() - np.trace(mags))
+    return RhoInt(pattern, overlap)
 
 
 def coherence_l1(rho):
-    """Sum of the magnitudes of the off-diagonal entries."""
-    shape = np.shape(rho)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError("expected a square matrix")
-    return _off_diagonal_mass(rho)
+    """Sum of the magnitudes of the off-diagonal entries of a ``RhoInt``."""
+    return rho.off_diagonal_mass()
 
 
 def compute_X(overlap):
@@ -180,29 +131,21 @@ def compute_X(overlap):
     Satisfies coherence_l1(rho_int(pattern, G)) == (N+1) * X for every
     sign pattern, since the phase factors have unit modulus.
     """
-    n = np.shape(overlap)[0]
-    return _off_diagonal_mass(overlap) / ((n + 1) * (n + 1))
+    n = overlap.n_paths
+    return overlap.off_diagonal_mass() / ((n + 1) * (n + 1))
 
 
 def exit_probability(pattern, overlap):
     """Probability of ending on the exit edge, with markers traced out.
 
-    Evaluates sum_{j,k} s_j s_k G[k][j] / (N+1)^2, in O(N) for an
-    ``Overlaps`` record.  The sum is real for Hermitian G; a residual
-    imaginary part above 1e-10 flags a broken overlap matrix.
+    Evaluates sum_{j,k} s_j s_k G[k][j] / (N+1)^2 in O(N) from the
+    ``Overlaps`` record; G is Hermitian, so the sum is real.
     """
     n = pattern.n_paths
-    if np.shape(overlap) != (n, n):
+    if overlap.n_paths != n:
         raise ValueError("overlap matrix does not match the pattern size")
     s = np.array(pattern.signs, dtype=float)
-    if isinstance(overlap, Overlaps):
-        value = complex(overlap.signed_sum(s)) / ((n + 1) * (n + 1))
-    else:
-        value = complex(s @ np.asarray(overlap) @ s) / ((n + 1) * (n + 1))
-    if abs(value.imag) > IMAG_TOL:
-        raise ValueError(f"exit probability has imaginary part {value.imag:g}; "
-                         "overlap matrix is not Hermitian")
-    p = value.real
+    p = float(overlap.signed_sum(s)) / ((n + 1) * (n + 1))
     if p < -BOUND_TOL or p > 1 + BOUND_TOL:
         raise AssertionError(f"exit probability {p} escaped [0, 1]")
     return min(max(p, 0.0), 1.0)

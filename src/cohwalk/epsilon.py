@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .decision import no_exit_likelihoods
+from .decoherence import detection_probability
 from .ensemble import _binomial_terms, _hypergeometric_terms
 
 TIE_TOL = 1e-9
@@ -50,17 +52,15 @@ def quantum_miss_probability(m, epsilon, nu=1.0):
 
     Decoherence scales the per-run detection probability eps^2 down to
     nu*eps^2, so the miss probability is (1 - nu*eps^2)^m, with
-    exp(-m*nu*eps^2) as the standard overestimate.
+    exp(-m*nu*eps^2) as the standard overestimate.  Both come from the
+    same per-run rate as the ``mc`` target, ``no_exit_likelihoods``.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if not 0 <= nu <= 1:
-        raise ValueError("nu must lie in [0, 1]")
-    rate = nu * epsilon * epsilon
-    exact = (1.0 - rate) ** m
-    approx = math.exp(-m * rate)
+    exact = no_exit_likelihoods("epsilon", m, nu, epsilon=epsilon)[0]
+    approx = math.exp(-m * detection_probability("epsilon", nu, epsilon=epsilon))
     return MissProbability(exact, approx, approx - exact)
 
 

@@ -108,6 +108,8 @@ class PhasePattern:
     @classmethod
     def epsilon_biased(cls, n_paths, epsilon):
         """Canonical biased pattern with (1+epsilon)*N/2 leading +1 signs."""
+        if not 0 < epsilon < 1:  # round() below raises OverflowError on inf
+            raise ValueError("epsilon promise requires epsilon in (0, 1)")
         k = (1 + epsilon) * n_paths / 2
         n_plus = round(k)
         return cls((1,) * n_plus + (-1,) * (n_paths - n_plus), "epsilon", epsilon)
@@ -261,13 +263,11 @@ def initial_state():
 
 
 def state_norm(state):
-    """Norm of an amplitude array, or of the values of a dict state.
+    """Norm of an amplitude array.
 
     Summed pairwise: a running sum over a flat unit vector is already
     off by 2.7e-12 at N = 10^5, past NORM_TOL.
     """
-    if isinstance(state, dict):
-        state = list(state.values())
     flat = np.ascontiguousarray(state, dtype=complex).ravel().view(np.float64)
     return math.sqrt(np.sum(flat * flat))
 
@@ -277,13 +277,13 @@ def _as_dict(graph, amp):
     return dict(zip([graph.edge_states[i] for i in support], amp[support].tolist()))
 
 
-def step(state, pattern, graph, _table=None):
+def step(state, pattern, graph):
     """Advance a dict state (edge state -> amplitude) one time step.
 
     Raises ``BoundaryError`` if any amplitude would have to leave the
     truncated tails, and checks that the step preserves the norm.
     """
-    table = _table if _table is not None else transition_table(graph, pattern)
+    table = transition_table(graph, pattern)
     amp = np.zeros(graph.n_states, dtype=complex)
     for edge, a in state.items():
         amp[graph.state_index(edge)] = a

@@ -252,6 +252,7 @@ class TestInputContract:
         ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", "-1"],
         ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", "0"],
         ["ensemble", "--n-list", "20,40", "--m", "0"],  # an empty subsequence
+        ["walk", "--n", "8", "--promise", "epsilon", "--epsilon", "inf"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)

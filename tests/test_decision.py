@@ -6,10 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cohwalk.decision import (
-    DEFAULT_PRIOR,
-    PriorSpec,
     classical_error,
-    classical_posterior_all_same,
     coherence_threshold,
     enumerate_two_trial_table,
     no_exit_likelihoods,
@@ -18,14 +15,16 @@ from cohwalk.decision import (
 )
 
 HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
 
 
-def enumerate_classical_error(m, prior=DEFAULT_PRIOR):
+def enumerate_classical_error(m):
     """Oracle: walk all 2^m reading tuples under the independent model.
 
     The rule guesses constant when all readings agree, balanced
     otherwise; the error mass is accumulated outcome by outcome in exact
-    rational arithmetic.
+    rational arithmetic, under the prior 1/4 on each constant pattern
+    and 1/2 on balanced.
     """
     error = Fraction(0)
     for outcome in itertools.product((1, -1), repeat=m):
@@ -34,20 +33,10 @@ def enumerate_classical_error(m, prior=DEFAULT_PRIOR):
         p_given_balanced = Fraction(1, 2**m)
         guess_constant = len(set(outcome)) == 1
         if guess_constant:
-            error += prior.p_balanced * p_given_balanced
+            error += HALF * p_given_balanced
         else:
-            error += (
-                prior.p_constant_plus * p_given_plus
-                + prior.p_constant_minus * p_given_minus
-            )
+            error += QUARTER * p_given_plus + QUARTER * p_given_minus
     return error
-
-
-def enumerate_classical_posterior(m, prior=DEFAULT_PRIOR):
-    """Oracle: P(constant +1 | all readings +1) by direct joint masses."""
-    joint_plus = prior.p_constant_plus * Fraction(1)
-    joint_balanced = prior.p_balanced * Fraction(1, 2**m)
-    return joint_plus / (joint_plus + joint_balanced)
 
 
 def enumerate_quantum_error(m, nu):
@@ -67,17 +56,6 @@ def enumerate_quantum_error(m, nu):
 
 
 class TestClassical:
-    def test_posterior_examples(self):
-        assert classical_posterior_all_same(2) == Fraction(2, 3)
-        assert classical_posterior_all_same(1) == HALF
-        assert classical_posterior_all_same(3) == Fraction(4, 5)
-
-    def test_posterior_closed_form(self):
-        for m in range(1, 21):
-            expected = Fraction(2 ** (m - 1), 1 + 2 ** (m - 1))
-            assert classical_posterior_all_same(m) == expected
-            assert enumerate_classical_posterior(m) == expected
-
     def test_error_examples(self):
         assert classical_error(2) == Fraction(1, 4)
         assert classical_error(3) == Fraction(1, 8)
@@ -87,18 +65,6 @@ class TestClassical:
         for m in range(1, 17):
             assert classical_error(m) == enumerate_classical_error(m)
             assert classical_error(m) == Fraction(1, 2**m)
-
-    def test_general_prior_against_oracle(self):
-        prior = PriorSpec(Fraction(1, 6), Fraction(1, 3), HALF)
-        for m in range(1, 11):
-            assert classical_error(m, prior) == enumerate_classical_error(m, prior)
-            assert classical_posterior_all_same(m, prior) == enumerate_classical_posterior(
-                m, prior
-            )
-
-    def test_prior_must_normalize(self):
-        with pytest.raises(ValueError):
-            PriorSpec(HALF, HALF, HALF)
 
     def test_without_replacement_against_full_enumeration(self):
         # oracle: all balanced arrangements x all ordered position draws
@@ -117,7 +83,7 @@ class TestClassical:
             if len({arr[i] for i in pos}) == 1
         )
         p_same = Fraction(same, len(arrangements) * len(draws))
-        expected = DEFAULT_PRIOR.p_balanced * p_same
+        expected = HALF * p_same
         assert classical_error(m, n_paths=n) == expected
         assert plus == 4
 

@@ -1,5 +1,6 @@
 """Decoherence tests: overlaps, density matrix, coherence, exit bound."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_reference
 from cohwalk.decoherence import (
     AncillaSpec,
     Overlaps,
@@ -62,35 +64,72 @@ def random_pattern(rng, n):
     return PhasePattern(signs, "epsilon", eps)
 
 
+def sign_vectors(n):
+    """Every +-1 vector for small N; all +1, alternating and random ones beyond."""
+    if n <= 6:
+        return [np.array(v, dtype=float) for v in itertools.product((1, -1), repeat=n)]
+    rng = np.random.default_rng(n)
+    fixed = [np.ones(n), np.resize([1.0, -1.0], n)]
+    return fixed + [rng.choice([1.0, -1.0], n) for _ in range(8)]
+
+
+def assert_record_sums(g, dense):
+    """An ``Overlaps`` record gives the sums of the dense matrix it stands for."""
+    n = g.n_paths
+    assert dense.shape == (n, n)
+    tol = 1e-12 * n * n
+    assert g.off_diagonal_mass() == pytest.approx(
+        dense_reference.off_diagonal_mass(dense), abs=tol)
+    for s in sign_vectors(n):
+        want = dense_reference.signed_sum(s, dense)
+        assert abs(want.imag) <= tol
+        assert g.signed_sum(s) == pytest.approx(want.real, abs=tol)
+
+
+def assert_rho_mass(pattern, spec):
+    """``rho_int``'s l1 coherence is that of the dense rho built from the
+    product-state overlaps; returns that dense rho."""
+    dense = dense_reference.rho_matrix(pattern, brute_overlaps(spec))
+    assert coherence_l1(rho_int(pattern, overlaps(spec))) == pytest.approx(
+        dense_reference.off_diagonal_mass(dense), abs=1e-12)
+    return dense
+
+
 class TestOverlaps:
     def test_full_coherence_is_all_ones(self):
-        g = overlaps(AncillaSpec.uniform(1.0, 3))
-        assert np.allclose(g, np.ones((3, 3)), atol=1e-15)
+        spec = AncillaSpec.uniform(1.0, 3)
+        assert np.allclose(brute_overlaps(spec), np.ones((3, 3)), atol=1e-15)
+        assert_record_sums(overlaps(spec), np.ones((3, 3)))
 
     def test_zero_coherence_is_identity(self):
-        g = overlaps(AncillaSpec.uniform(0.0, 4))
-        assert np.allclose(g, np.eye(4), atol=1e-15)
+        spec = AncillaSpec.uniform(0.0, 4)
+        assert np.allclose(brute_overlaps(spec), np.eye(4), atol=1e-15)
+        assert_record_sums(overlaps(spec), np.eye(4))
 
     def test_real_equal_qubits_give_alpha_squared(self):
         alpha = 0.8
         beta = 0.6
         spec = AncillaSpec.per_path([alpha] * 3, [beta] * 3)
-        g = overlaps(spec)
-        off = g[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, alpha**2, atol=1e-15)
+        expected = np.full((3, 3), alpha**2)
+        np.fill_diagonal(expected, 1.0)
+        assert np.allclose(brute_overlaps(spec), expected, atol=1e-15)
+        assert_record_sums(overlaps(spec), expected)
 
     def test_matches_product_state_oracle(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 5, 7):
             spec = random_spec(rng, n)
-            assert np.allclose(overlaps(spec), brute_overlaps(spec), atol=1e-12)
+            assert_record_sums(overlaps(spec), brute_overlaps(spec))
 
     def test_hermitian_with_unit_diagonal(self):
         rng = np.random.default_rng(5)
         spec = random_spec(rng, 6)
-        g = overlaps(spec)
+        g = brute_overlaps(spec)
         assert np.allclose(g, g.conj().T, atol=1e-15)
         assert np.allclose(np.diag(g), 1.0, atol=1e-15)
+        # so every signed sum is real, and the record returns it as a float
+        assert_record_sums(overlaps(spec), g)
+        assert type(exit_probability(random_pattern(rng, 6), overlaps(spec))) is float
 
     def test_rejects_unnormalized_qubits(self):
         with pytest.raises(ValueError):
@@ -100,29 +139,32 @@ class TestOverlaps:
 class TestRhoInt:
     def test_fully_coherent_constant_is_flat(self):
         pattern = PhasePattern.constant(2)
-        rho = rho_int(pattern, overlaps(AncillaSpec.uniform(1.0, 2)))
+        rho = assert_rho_mass(pattern, AncillaSpec.uniform(1.0, 2))
         assert np.allclose(rho, np.full((2, 2), 1 / 3), atol=1e-15)
 
     def test_fully_decohered_is_diagonal(self):
         pattern = PhasePattern.balanced(4)
-        rho = rho_int(pattern, overlaps(AncillaSpec.uniform(0.0, 4)))
+        rho = assert_rho_mass(pattern, AncillaSpec.uniform(0.0, 4))
         assert np.allclose(rho, np.eye(4) / 5, atol=1e-15)
 
     def test_entries_follow_definition(self):
-        # entry (j, k) is s_j s_k G[k][j] / (N+1); the transposed
-        # orientation would pass every Hermitian, trace and PSD check
+        # entry (j, k) is s_j s_k G[k][j] / (N+1); the record's l1 mass is
+        # that of the matrix with these entries
         rng = np.random.default_rng(5)
         for n in (3, 64):
             pattern = random_pattern(rng, n)
-            g = overlaps(random_spec(rng, n))
+            spec = random_spec(rng, n)
+            g = dense_reference.overlap_matrix(spec)
             s = np.array(pattern.signs, dtype=float)
-            assert np.array_equal(rho_int(pattern, g), np.outer(s, s) * g.T / (n + 1))
+            rho = np.outer(s, s) * g.T / (n + 1)
+            assert coherence_l1(rho_int(pattern, overlaps(spec))) == pytest.approx(
+                dense_reference.off_diagonal_mass(rho), rel=1e-12)
 
     def test_trace_is_path_weight(self):
         rng = np.random.default_rng(3)
         for n in (2, 6, 11):
             pattern = random_pattern(rng, n)
-            rho = rho_int(pattern, overlaps(random_spec(rng, n)))
+            rho = assert_rho_mass(pattern, random_spec(rng, n))
             assert np.trace(rho).real == pytest.approx(n / (n + 1), abs=1e-12)
             assert abs(np.trace(rho).imag) < 1e-14
 
@@ -131,14 +173,17 @@ class TestRhoInt:
         for _ in range(20):
             n = int(rng.integers(2, 12))
             pattern = random_pattern(rng, n)
-            rho = rho_int(pattern, overlaps(random_spec(rng, n)))
+            rho = assert_rho_mass(pattern, random_spec(rng, n))
             assert np.allclose(rho, rho.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
 class TestCoherence:
     def test_diagonal_matrix_has_no_coherence(self):
-        assert coherence_l1(np.diag([0.4, 0.6])) == 0.0
+        # fully decohered, or every marker flipped to an orthogonal state
+        pattern = PhasePattern.balanced(2)
+        for spec in (AncillaSpec.uniform(0.0, 2), AncillaSpec.per_path([0.0, 0.0], [1.0, 1.0])):
+            assert coherence_l1(rho_int(pattern, overlaps(spec))) == 0.0
 
     def test_flat_state_value(self):
         pattern = PhasePattern.constant(2)
@@ -200,11 +245,13 @@ class TestExitProbability:
         g = overlaps(AncillaSpec.uniform(1.0, 100))
         assert exit_probability(pattern, g) == pytest.approx((10 / 101) ** 2, abs=1e-12)
 
-    def test_non_hermitian_overlaps_rejected(self):
-        g = overlaps(AncillaSpec.uniform(0.5, 3)).astype(complex)
-        g[0, 1] = 0.5j  # breaks Hermitian symmetry
-        with pytest.raises(ValueError):
-            exit_probability(PhasePattern.constant(3), g)
+    def test_record_of_other_size_rejected(self):
+        pattern = PhasePattern.constant(4)
+        for n in (3, 5):
+            g = overlaps(AncillaSpec.uniform(0.5, n))
+            for route in (rho_int, exit_probability, exit_probability_bound):
+                with pytest.raises(ValueError, match="does not match the pattern size"):
+                    route(pattern, g)
 
     def test_monotonic_in_nu(self):
         nus = np.linspace(0, 1, 21)
@@ -280,46 +327,30 @@ class TestBound:
             p, bound = exit_probability_bound(pattern, g)
             assert p <= bound + 1e-12
 
-    def test_accepts_gram_matrices_beyond_qubits(self):
-        # overlaps of higher-dimensional environments are fine: any Gram
-        # matrix with unit diagonal works for the probability formulas
-        rng = np.random.default_rng(41)
-        n, dim = 5, 7
-        vectors = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        g = vectors.conj() @ vectors.T
-        pattern = random_pattern(rng, n)
-        p, bound = exit_probability_bound(pattern, g)
-        assert 0.0 <= p <= bound + 1e-12
-        assert np.linalg.eigvalsh(rho_int(pattern, g)).min() > -1e-10
-
 
 class TestStructuredRoute:
     def test_dense_forms_follow_the_definitions(self):
+        # the reference matrices against the product-state oracle, and the
+        # records against the reference up to N = 64
         rng = np.random.default_rng(43)
         for n in (1, 5, 64):
-            spec = random_spec(rng, n)
-            a = np.asarray(spec.alphas)
-            expected = np.outer(a.conj(), a)
-            np.fill_diagonal(expected, 1.0)
-            assert np.array_equal(np.asarray(overlaps(spec)), expected)
-            for nu in (0.0, 0.3, 1.0):
-                expected = np.full((n, n), complex(nu))
-                np.fill_diagonal(expected, 1.0)
-                assert np.array_equal(np.asarray(overlaps(AncillaSpec.uniform(nu, n))), expected)
+            specs = [random_spec(rng, n)] + [AncillaSpec.uniform(nu, n) for nu in (0.0, 0.3, 1.0)]
+            for spec in specs:
+                dense = dense_reference.overlap_matrix(spec)
+                if n <= 5:
+                    assert np.allclose(dense, brute_overlaps(spec), atol=1e-12)
+                if spec.nu is not None:
+                    assert np.all(dense[~np.eye(n, dtype=bool)] == spec.nu)
+                assert_record_sums(overlaps(spec), dense)
 
-    def test_records_route_and_densify(self):
+    def test_records_route(self):
         rng = np.random.default_rng(47)
         pattern = random_pattern(rng, 6)
         g = overlaps(random_spec(rng, 6))
         rho = rho_int(pattern, g)
         assert isinstance(g, Overlaps) and isinstance(rho, RhoInt)
-        assert g.shape == rho.shape == (6, 6)
-        dense_rho = rho_int(pattern, np.asarray(g))
-        assert type(dense_rho) is np.ndarray
-        assert np.array_equal(np.asarray(rho), dense_rho)
-        assert np.array_equal(rho.T, dense_rho.T)
-        assert np.array_equal(rho[1:, :2], dense_rho[1:, :2])
+        assert g.n_paths == rho.n_paths == 6
+        assert rho.pattern is pattern and rho.overlap is g
 
     def test_budget_builds_no_n_by_n_matrix(self):
         # one complex N x N matrix at this N would take 160 GB

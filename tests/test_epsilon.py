@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cohwalk.decision import no_exit_likelihoods
 from cohwalk.decoherence import detection_probability
 from cohwalk.ensemble import binomial_pmf, hypergeometric_pmf
 from cohwalk.epsilon import (
@@ -34,6 +35,20 @@ class TestMissProbability:
 
     def test_zero_trials(self):
         assert quantum_miss_probability(0, 0.3).exact == 1.0
+
+    def test_exact_is_the_mc_target(self):
+        # one float for cohwalk epsilon and mc: (1 - nu*eps^2)^m.  Taken as
+        # (1 - (nu*eps)*eps)^m it is one ulp off at eps = 0.37, nu = 0.3.
+        for m in (1, 7, 100, 1000):
+            for eps in (0.1, 0.2, 0.37, 0.7):
+                for nu in (0.1, 0.3, 0.91, 1.0):
+                    want = no_exit_likelihoods("epsilon", m, nu, epsilon=eps)[0]
+                    assert quantum_miss_probability(m, eps, nu).exact == want
+
+    def test_nu_outside_unit_interval_rejected(self):
+        for nu in (1.5, -0.25, float("nan")):
+            with pytest.raises(ValueError, match="nu must lie in"):
+                quantum_miss_probability(3, 0.3, nu)
 
     def test_approximation_always_overestimates(self):
         for m in (1, 10, 100, 1000):

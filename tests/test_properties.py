@@ -1,5 +1,5 @@
 """Property tests: count laws stay probabilities, uniforms ignore partitioning,
-and the O(N) coherence route agrees with the dense N x N route."""
+and the O(N) coherence records agree with the dense N x N reference."""
 
 import cmath
 import math
@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+import dense_reference
 from cohwalk.decoherence import (
     AncillaSpec,
     coherence_l1,
@@ -105,20 +106,21 @@ def test_structured_route_matches_dense(case):
     pattern, spec = case
     n = pattern.n_paths
     g = overlaps(spec)
-    dense = np.asarray(g)
-    assert abs(exit_probability(pattern, g) - exit_probability(pattern, dense)) <= 1e-12
-    assert abs(compute_X(g) - compute_X(dense)) <= 1e-12
+    dense = dense_reference.overlap_matrix(spec)
+    dense_p = dense_reference.exit_probability(pattern, dense)
+    assert abs(dense_p.imag) <= 1e-12
+    assert abs(exit_probability(pattern, g) - dense_p.real) <= 1e-12
+    dense_x = dense_reference.off_diagonal_mass(dense) / ((n + 1) * (n + 1))
+    assert abs(compute_X(g) - dense_x) <= 1e-12
     assert abs(exit_probability_bound(pattern, g)[1]
-               - exit_probability_bound(pattern, dense)[1]) <= 1e-12
-    rho = rho_int(pattern, g)
-    dense_rho = np.asarray(rho)
-    assert np.array_equal(dense_rho, rho_int(pattern, dense))
-    l1, dense_l1 = coherence_l1(rho), coherence_l1(dense_rho)
+               - (n / ((n + 1) * (n + 1)) + dense_x)) <= 1e-12
+    l1 = coherence_l1(rho_int(pattern, g))
+    dense_l1 = dense_reference.off_diagonal_mass(dense_reference.rho_matrix(pattern, dense))
     # The dense route subtracts the trace N/(N+1) from the sum of every
     # |entry|, so its rounding is relative to that sum, not to l1 alone.
     assert abs(l1 - dense_l1) <= 1e-12 * (dense_l1 + n / (n + 1))
     # the l1 identity on the dense route
-    assert abs(dense_l1 - (n + 1) * compute_X(dense)) <= 1e-12
+    assert abs(dense_l1 - (n + 1) * dense_x) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,5 +148,7 @@ def test_coherence_bound_on_both_routes(case):
     pattern, spec = case
     n = pattern.n_paths
     g = overlaps(spec)
-    for route in (g, np.asarray(g)):
-        assert exit_probability(pattern, route) <= n / (n + 1) ** 2 + compute_X(route) + 1e-12
+    assert exit_probability(pattern, g) <= n / (n + 1) ** 2 + compute_X(g) + 1e-12
+    dense = dense_reference.overlap_matrix(spec)
+    dense_x = dense_reference.off_diagonal_mass(dense) / (n + 1) ** 2
+    assert dense_reference.exit_probability(pattern, dense).real <= n / (n + 1) ** 2 + dense_x + 1e-12

@@ -202,7 +202,7 @@ class TestStep:
                 amps = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
                 amps /= np.linalg.norm(amps)
                 state = dict(zip(safe, amps))
-                assert state_norm(step(state, pattern, graph)) == pytest.approx(
+                assert state_norm(list(step(state, pattern, graph).values())) == pytest.approx(
                     1.0, abs=1e-12
                 )
 
@@ -227,7 +227,7 @@ class TestStep:
                 vec = np.zeros(len(graph.edge_states), dtype=complex)
                 vec[cols] = amps
                 want = matrix @ vec
-                got = step(dict(zip(safe, amps)), pattern, graph, _table=table)
+                got = step(dict(zip(safe, amps)), pattern, graph)
                 assert set(got) <= {graph.edge_states[i] for i in rows}
                 have = np.zeros_like(want)
                 for edge, amp in got.items():
@@ -270,11 +270,10 @@ class TestStep:
     def test_boundary_error_past_truncation(self):
         pattern = PhasePattern.constant(2)
         graph = build_graph(2, 4)
-        table = transition_table(graph, pattern)
         state = initial_state()
         with pytest.raises(BoundaryError):
             for _ in range(5):
-                state = step(state, pattern, graph, _table=table)
+                state = step(state, pattern, graph)
 
     def test_run_walk_enforces_safe_horizon(self):
         with pytest.raises(ValueError):
