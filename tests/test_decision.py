@@ -39,6 +39,22 @@ def enumerate_classical_error(m):
     return error
 
 
+def enumerate_classical_posterior(m):
+    """Oracle: (P(constant | all m readings agree), P(all m readings agree)).
+
+    Walks all 2^m reading tuples and keeps the joint masses of the
+    all-agree ones under each hypothesis, in exact rational arithmetic.
+    """
+    joint_constant = joint_balanced = Fraction(0)
+    for outcome in itertools.product((1, -1), repeat=m):
+        if len(set(outcome)) != 1:
+            continue
+        joint_constant += QUARTER * int(outcome[0] == 1) + QUARTER * int(outcome[0] == -1)
+        joint_balanced += HALF * Fraction(1, 2**m)
+    evidence = joint_constant + joint_balanced
+    return joint_constant / evidence, evidence
+
+
 def enumerate_quantum_error(m, nu):
     """Oracle: sum the error mass over all 2^m exit-indicator tuples."""
     miss = 1 - nu
@@ -56,6 +72,24 @@ def enumerate_quantum_error(m, nu):
 
 
 class TestClassical:
+    def test_posterior_examples(self):
+        # the two-trial table's all-agree rows hold the Bayes posterior
+        table = enumerate_two_trial_table(HALF)["classical"]
+        rows = {outcome: (pc, pb) for outcome, pc, pb, _ in table}
+        posterior, _ = enumerate_classical_posterior(2)
+        assert posterior == Fraction(2, 3)
+        assert rows[(1, 1)] == rows[(-1, -1)] == (posterior, 1 - posterior)
+        assert enumerate_classical_posterior(1)[0] == HALF
+        assert enumerate_classical_posterior(3)[0] == Fraction(4, 5)
+
+    def test_posterior_closed_form(self):
+        # the rule errs exactly when the readings agree on a balanced
+        # pattern: error = P(balanced | all agree) * P(all agree)
+        for m in range(1, 21):
+            posterior, evidence = enumerate_classical_posterior(m)
+            assert posterior == Fraction(2 ** (m - 1), 1 + 2 ** (m - 1))
+            assert classical_error(m) == (1 - posterior) * evidence
+
     def test_error_examples(self):
         assert classical_error(2) == Fraction(1, 4)
         assert classical_error(3) == Fraction(1, 8)
@@ -147,6 +181,20 @@ class TestQuantum:
                     got = no_exit_likelihoods(first, m, nu, epsilon=eps, n_paths=n_paths)
                     assert got == ((1 - rate(first, nu, eps)) ** m,
                                    (1 - rate("balanced", nu, eps)) ** m)
+
+    def test_finite_n_posterior_follows_bayes(self):
+        # equal priors, no-exit likelihoods from the finite-N rates
+        # written out; a miss favours balanced unless nu = 0, where both
+        # hypotheses exit at the same rate n/(n+1)^2
+        for n in (1, 7, 1000):
+            for m in (1, 3):
+                for nu in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                    miss_c = (1 - (n + nu * n * (n - 1)) / Fraction((n + 1) ** 2)) ** m
+                    miss_b = (1 - (1 - nu) * n / Fraction((n + 1) ** 2)) ** m
+                    p_c, p_b = quantum_posterior_all_zero(m, nu, n_paths=n)
+                    assert p_c == miss_c / (miss_c + miss_b)
+                    assert p_c + p_b == 1
+                    assert p_c < HALF if nu > 0 else p_c == HALF
 
     def test_finite_n_correction_is_small(self):
         n = 1000
