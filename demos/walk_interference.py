@@ -9,10 +9,10 @@ cancel and it never does.
 
 from cohwalk import (
     PhasePattern,
-    build_graph,
+    WalkGraph,
+    exit_amplitude,
     exit_probability_ideal,
     initial_state,
-    run_walk,
     step,
 )
 
@@ -27,7 +27,7 @@ def show_state(label, state):
 def main():
     n = 4
     print(f"Interferometer with N={n} paths, tails truncated at depth 4.")
-    graph = build_graph(n)
+    graph = WalkGraph(n)
     print(f"The graph carries {len(graph.edge_states)} directed edge states.\n")
 
     for promise, pattern in [
@@ -47,7 +47,7 @@ def main():
     print("Biased pattern: a small surplus of +1 signs leaves a faint exit signal.")
     for n_big, eps in [(20, 0.1), (100, 0.1), (100, 0.2)]:
         pattern = PhasePattern.epsilon_biased(n_big, eps)
-        walked = abs(run_walk(pattern).get(("B", n_big + 1), 0)) ** 2
+        walked = abs(exit_amplitude(pattern)) ** 2
         print(f"  N={n_big:4d}, eps={eps}: exit probability {walked:.6f} "
               f"~ eps^2 = {eps**2:.4f}")
 

@@ -17,11 +17,9 @@ from .walk import (
     BoundaryError,
     PhasePattern,
     WalkGraph,
-    build_graph,
     exit_amplitude,
     exit_probability_ideal,
     initial_state,
-    run_walk,
     state_norm,
     step,
 )

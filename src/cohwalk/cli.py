@@ -24,7 +24,7 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from . import decision, ensemble, epsilon as eps_mod, montecarlo
@@ -45,7 +45,7 @@ MAX_EXPERIMENTS = 10**9   # --experiments
 class OutputTable:
     columns: list
     rows: list
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     @property
     def checks_pass(self):
@@ -294,7 +294,7 @@ def cmd_mc(args):
         nu=args.nu,
         epsilon=args.epsilon,
         likelihood=args.likelihood,
-        sampling="hypergeom" if args.sampling == "hypergeom" else "iid",
+        sampling=args.sampling,
         truth=args.truth,
     )
     result = montecarlo.run_experiment(config)

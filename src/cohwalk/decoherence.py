@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .walk import advance, build_graph, state_norm, transition_table
+from .walk import WalkGraph, advance, state_norm, transition_table
 
 BOUND_TOL = 1e-12
 ORACLE_MAX_PATHS = 12
@@ -205,7 +205,7 @@ def _qubit_rotation(alpha, beta):
     return np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
 
 
-def full_tensor_oracle(pattern, spec, tail_depth=4):
+def full_tensor_oracle(pattern, spec):
     """Exit probability from the explicit particle (x) marker simulation.
 
     Evolves the joint state over edge states and the full 2^N marker
@@ -220,7 +220,7 @@ def full_tensor_oracle(pattern, spec, tail_depth=4):
     if n > ORACLE_MAX_PATHS:
         raise ValueError(f"joint simulation limited to N <= {ORACLE_MAX_PATHS}")
 
-    graph = build_graph(n, tail_depth)
+    graph = WalkGraph(n)
     table = transition_table(graph, pattern)
     rotations = [_qubit_rotation(a, b) for a, b in zip(spec.alphas, spec.betas)]
 

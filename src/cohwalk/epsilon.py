@@ -38,8 +38,7 @@ class MissProbability(NamedTuple):
 class ClassicalErrorBounds(NamedTuple):
     chernoff_false_eps: float   # bound on P(Y >= eps/2 | balanced)
     chernoff_false_bal: float   # bound on P(Y < eps/2 | biased)
-    approx_false_eps: float     # quoted small-eps form exp(-eps^2 m / 8)
-    approx_false_bal: float
+    approx_false_eps: float     # quoted small-eps form exp(-eps^2 m / 8), both sides
 
 
 class TailProbabilities(NamedTuple):
@@ -114,7 +113,7 @@ def classical_error_bounds(m, epsilon):
     false_eps = chernoff_upper(m / 2, epsilon / 2)
     false_bal = chernoff_lower(m * (1 + epsilon) / 2, epsilon / (2 * (1 + epsilon)))
     quoted = math.exp(-epsilon * epsilon * m / 8)
-    return ClassicalErrorBounds(false_eps, false_bal, quoted, quoted)
+    return ClassicalErrorBounds(false_eps, false_bal, quoted)
 
 
 def exact_tail_probabilities(m, epsilon, n_paths=None):

@@ -223,13 +223,13 @@ def run_experiment(config):
     rate; when that is 0 (no errors, or all wrong) it divides by the
     standard error of the analytic rate instead, which is then reported.
     """
+    analytic = analytic_error(config)  # rejects a bad composition before any sampling
     regions = _error_regions(config)
     total_errors = sum(_block_errors(config, regions, u)
                        for u in _uniform_blocks(config.seed, 0, config.experiments))
 
     n = config.experiments
     empirical = total_errors / n
-    analytic = float(analytic_error(config))
     std_error = math.sqrt(empirical * (1 - empirical) / n)
     if std_error == 0.0:
         std_error = math.sqrt(analytic * (1 - analytic) / n)

@@ -4,7 +4,10 @@ The graph has two Fourier vertices A and B joined by N parallel paths.
 Path j carries a phase shifter that multiplies transmitted amplitude by
 a sign s_j in {+1, -1}.  A finite chain of pass-through vertices hangs
 off each Fourier vertex: the entry tail 0, -1, -2, ... on the A side and
-the exit tail N+1, N+2, ... on the B side.
+the exit tail N+1, N+2, ... on the B side.  Each tail holds
+``TAIL_DEPTH`` = 4 edges: in the paper's three steps the particle goes
+no further than three edges from a Fourier vertex, so the fourth edge
+of a tail is never reached.
 
 The particle lives on *directed edge states* |u,v>: "on the edge {u,v},
 moving toward v".  |u,v> and |v,u> are distinct orthogonal states.  One
@@ -32,16 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-Vertex = int | str  # 'A', 'B', or an integer tail/path label
-EdgeState = tuple[Vertex, Vertex]
-
 NORM_TOL = 1e-12
 
 START_EDGE = (0, "A")
+TAIL_DEPTH = 4  # edges per tail; three steps never reach the fourth
 
 
 class BoundaryError(RuntimeError):
-    """Amplitude reached the truncation boundary; tail_depth is too small."""
+    """Amplitude reached the truncation boundary: the walk ran past three steps."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class PhasePattern:
         return len(self.signs)
 
     @classmethod
-    def constant(cls, n_paths, sign=1):
-        return cls((sign,) * n_paths, "constant")
+    def constant(cls, n_paths):
+        return cls((1,) * n_paths, "constant")
 
     @classmethod
     def balanced(cls, n_paths):
@@ -119,10 +120,10 @@ class PhasePattern:
 class WalkGraph:
     """Truncated interferometer graph: vertex layout and edge-state list.
 
-    ``tail_depth`` counts the edges in each tail chain, including (0, A)
-    and (B, N+1).  The entry tail uses vertices 0, -1, ..., -(tail_depth-1)
-    and the exit tail N+1, ..., N+tail_depth.  Every undirected edge
-    contributes two directed states, 4*(tail_depth + n_paths) in total:
+    Each tail chain holds ``TAIL_DEPTH`` = 4 edges, including (0, A) and
+    (B, N+1): the entry tail uses vertices 0, -1, -2, -3 and the exit
+    tail N+1, ..., N+4.  Every undirected edge contributes two directed
+    states, 4*(TAIL_DEPTH + n_paths) in total:
     the i-th undirected edge (u, v) gives state 2i = |u,v> and state
     2i+1 = |v,u>, with the edges in the order (0, A), (-1, 0), (-2, -1),
     ..., then (A, j) and (j, B) for j = 1..N, then (B, N+1),
@@ -132,21 +133,18 @@ class WalkGraph:
     """
 
     n_paths: int
-    tail_depth: int = 4
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
-        if self.tail_depth < 4:
-            raise ValueError("tail_depth must be at least 4")
 
     @property
     def n_states(self):
-        return 4 * (self.tail_depth + self.n_paths)
+        return 4 * (TAIL_DEPTH + self.n_paths)
 
     @cached_property
     def edge_states(self):
-        n, depth = self.n_paths, self.tail_depth
+        n, depth = self.n_paths, TAIL_DEPTH
         undirected = [(0, "A")]
         undirected += [(-k - 1, -k) for k in range(depth - 1)]
         for j in range(1, n + 1):
@@ -167,11 +165,6 @@ class WalkGraph:
         return self._index[edge]
 
 
-def build_graph(n_paths, tail_depth=4):
-    """Build the truncated interferometer graph for ``n_paths`` paths."""
-    return WalkGraph(n_paths, tail_depth)
-
-
 @dataclass(frozen=True)
 class TransitionTable:
     """Single-step routing as edge-state index arrays.
@@ -185,7 +178,7 @@ class TransitionTable:
       ``signs`` holds s_j in column order.
     * ``tail_src``/``tail_dst``: unit-coefficient hops through the tails.
     * ``boundary``: the two states pointing at an outermost tail vertex;
-      routing them means the truncation is too shallow.
+      routing them means the walk ran past its three steps.
     """
 
     a_in: np.ndarray
@@ -204,7 +197,7 @@ def transition_table(graph, pattern):
     """Index arrays that route every directed edge state one step."""
     if pattern.n_paths != graph.n_paths:
         raise ValueError("pattern and graph disagree on the number of paths")
-    n, depth = graph.n_paths, graph.tail_depth
+    n, depth = graph.n_paths, TAIL_DEPTH
     a_j = 2 * depth + 4 * np.arange(n)   # |A,j>; |j,A>, |j,B>, |B,j> follow it
     b_exit = 2 * depth + 4 * n           # |B,N+1>; |N+1,B> follows it
     # tails: outward states move 2 indices up, inward ones 2 down.  The
@@ -239,7 +232,7 @@ def advance(amp, table, norm):
     tails, and checks that the step preserves the norm.
     """
     if np.any(amp[table.boundary]):
-        raise BoundaryError("amplitude hit the tail truncation; increase tail_depth")
+        raise BoundaryError("amplitude hit the tail truncation, past the three steps")
     new = np.zeros_like(amp)
     # blocks that hold no amplitude are skipped: at N = 10^6 an empty
     # block still costs a full transform
@@ -290,32 +283,15 @@ def step(state, pattern, graph):
     return _as_dict(graph, advance(amp, table, state_norm(amp))[0])
 
 
-def _walk(pattern, steps, tail_depth):
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if steps > tail_depth - 1:
-        raise ValueError(
-            f"steps={steps} exceeds the safe horizon tail_depth-1={tail_depth - 1}"
-        )
-    graph = build_graph(pattern.n_paths, tail_depth)
+def exit_amplitude(pattern):
+    """Amplitude on the exit edge |B,N+1> after the walk's three steps from |0,A>."""
+    graph = WalkGraph(pattern.n_paths)
     table = transition_table(graph, pattern)
     amp = np.zeros(graph.n_states, dtype=complex)
     amp[table.a_in[0]] = 1.0  # |0,A>
     norm = 1.0  # of the single unit amplitude, exactly
-    for _ in range(steps):
+    for _ in range(3):
         amp, norm = advance(amp, table, norm)
-    return graph, table, amp
-
-
-def run_walk(pattern, steps=3, tail_depth=4):
-    """Run the walk from |0,A> for ``steps`` steps and return the state."""
-    graph, _, amp = _walk(pattern, steps, tail_depth)
-    return _as_dict(graph, amp)
-
-
-def exit_amplitude(pattern, tail_depth=4):
-    """Amplitude on the exit edge |B,N+1> after the standard 3 steps."""
-    _, table, amp = _walk(pattern, 3, tail_depth)
     return complex(amp[table.b_out[0]])
 
 

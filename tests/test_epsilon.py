@@ -117,7 +117,6 @@ class TestClassicalErrorBounds:
     def test_quoted_approximation(self):
         bounds = classical_error_bounds(200, 0.2)
         assert bounds.approx_false_eps == pytest.approx(math.exp(-1), abs=1e-14)
-        assert bounds.approx_false_bal == pytest.approx(math.exp(-1), abs=1e-14)
         bounds = classical_error_bounds(800, 0.1)
         assert bounds.approx_false_eps == pytest.approx(math.exp(-1), abs=1e-14)
 

@@ -395,6 +395,20 @@ class TestValidation:
             TrialConfig("quantum-dj", m=2, experiments=10, seed=1, n_paths=n_paths,
                         likelihood="exact-n")
 
+    @pytest.mark.parametrize("strategy, n_paths, kwargs", [
+        ("classical-dj", 101, {}), ("classical-eps", 105, {"epsilon": 0.2}),
+    ])
+    def test_odd_composition_rejected_before_sampling(self, monkeypatch, strategy,
+                                                      n_paths, kwargs):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the closed form was checked")
+
+        monkeypatch.setattr(cohwalk.montecarlo, "_uniform_blocks", no_sampling)
+        config = TrialConfig(strategy, m=4, experiments=10**8, seed=1, n_paths=n_paths,
+                             sampling="hypergeom", **kwargs)
+        with pytest.raises(ValueError, match="even number of paths"):
+            run_experiment(config)
+
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             config = TrialConfig("quantum-dj", m=2, experiments=10, seed=seed, nu=0.5)

@@ -8,14 +8,14 @@ import pytest
 
 from cohwalk import walk
 from cohwalk.walk import (
+    TAIL_DEPTH,
     BoundaryError,
     advance,
     PhasePattern,
-    build_graph,
+    WalkGraph,
     exit_amplitude,
     exit_probability_ideal,
     initial_state,
-    run_walk,
     state_norm,
     step,
     transition_table,
@@ -58,7 +58,7 @@ def dense_step_matrix(graph, pattern):
     passes it to its other neighbor.  Columns of states that point at an
     outermost tail vertex stay zero.
     """
-    n, depth = graph.n_paths, graph.tail_depth
+    n, depth = graph.n_paths, TAIL_DEPTH
     index = {e: i for i, e in enumerate(graph.edge_states)}
     matrix = np.zeros((len(index), len(index)), dtype=complex)
     fourier = {"A": range(n + 1), "B": range(1, n + 2)}
@@ -81,36 +81,32 @@ def dense_step_matrix(graph, pattern):
 
 class TestGraph:
     def test_edge_state_counts(self):
-        # hand enumeration: tail_depth edges per tail, 2N path edges,
+        # hand enumeration: 4 edges per tail, 2N path edges,
         # two directed states per edge
-        assert len(build_graph(2, 4).edge_states) == 24
-        assert len(build_graph(4, 4).edge_states) == 32
+        assert len(WalkGraph(2).edge_states) == 24
+        assert len(WalkGraph(4).edge_states) == 32
         for n in (2, 3, 8, 17):
-            for depth in (4, 6):
-                assert len(build_graph(n, depth).edge_states) == 4 * (depth + n)
+            graph = WalkGraph(n)
+            assert len(graph.edge_states) == graph.n_states == 4 * (4 + n)
 
     def test_rejects_single_path(self):
         with pytest.raises(ValueError):
-            build_graph(1, 4)
-
-    def test_rejects_shallow_tails(self):
-        with pytest.raises(ValueError):
-            build_graph(4, 3)
+            WalkGraph(1)
 
     def test_directed_states_come_in_opposite_pairs(self):
-        graph = build_graph(3, 4)
+        graph = WalkGraph(3)
         states = set(graph.edge_states)
         assert len(states) == len(graph.edge_states)
         for u, v in states:
             assert (v, u) in states
 
     def test_exit_edge_label(self):
-        assert build_graph(5, 4).exit_edge == ("B", 6)
+        assert WalkGraph(5).exit_edge == ("B", 6)
 
 
 class TestPhasePattern:
     def test_constructors(self):
-        assert PhasePattern.constant(3, -1).signs == (-1, -1, -1)
+        assert PhasePattern.constant(3).signs == (1, 1, 1)
         assert sum(PhasePattern.balanced(6).signs) == 0
         biased = PhasePattern.epsilon_biased(4, 0.5)
         assert sum(biased.signs) == 2  # 3 plus, 1 minus
@@ -171,7 +167,7 @@ class TestStep:
         # entering A from the tail excites all N+1 outgoing edges equally
         n = 5
         pattern = PhasePattern.constant(n)
-        graph = build_graph(n, 4)
+        graph = WalkGraph(n)
         state = step(initial_state(), pattern, graph)
         expected = 1 / math.sqrt(n + 1)
         assert set(state) == {("A", k) for k in range(n + 1)}
@@ -182,7 +178,7 @@ class TestStep:
         # tail component 1/sqrt(N+1) on |0,-1>, sign s_j on each |j,B>
         n = 4
         pattern = PhasePattern((1, 1, -1, -1), "balanced")
-        graph = build_graph(n, 4)
+        graph = WalkGraph(n)
         state = initial_state()
         for _ in range(2):
             state = step(state, pattern, graph)
@@ -196,7 +192,7 @@ class TestStep:
         rng = np.random.default_rng(2024)
         for n in (2, 5, 9):
             pattern = random_pattern(rng, n)
-            graph = build_graph(n, 6)
+            graph = WalkGraph(n)
             safe = non_boundary_states(graph, transition_table(graph, pattern))
             for _ in range(5):
                 amps = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
@@ -212,7 +208,7 @@ class TestStep:
         rng = np.random.default_rng(11)
         for n in (2, 3, 4, 7, 12, 16):
             pattern = random_pattern(rng, n)
-            graph = build_graph(n, 5)
+            graph = WalkGraph(n)
             table = transition_table(graph, pattern)
             matrix = dense_step_matrix(graph, pattern)
             safe = non_boundary_states(graph, table)
@@ -234,23 +230,33 @@ class TestStep:
                     have[graph.state_index(edge)] = amp
                 assert np.max(np.abs(have - want)) <= 1e-12
 
-    def test_zero_steps_is_identity(self):
-        state = run_walk(PhasePattern.constant(4), steps=0)
-        assert state == {(0, "A"): 1.0 + 0j}
-
     def test_causality_support_by_step(self):
         # after t steps the support sits exactly t edges from the start edge
         n = 4
         pattern = PhasePattern.constant(n)
+        graph = WalkGraph(n)
         horizons = [
             {(0, "A")},
             {("A", k) for k in range(n + 1)},
             {(0, -1)} | {(j, "B") for j in range(1, n + 1)},
             {(-1, -2)} | {("B", k) for k in range(1, n + 2)},
         ]
-        for steps, horizon in enumerate(horizons):
-            state = run_walk(pattern, steps=steps)
+        state = initial_state()
+        for horizon in horizons:
             assert set(state) <= horizon
+            state = step(state, pattern, graph)
+
+    def test_dict_route_equals_array_route(self):
+        # three dict steps land exactly where exit_amplitude's array walk does
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 41))
+            pattern = random_pattern(rng, n)
+            graph = WalkGraph(n)
+            state = initial_state()
+            for _ in range(3):
+                state = step(state, pattern, graph)
+            assert state.get(graph.exit_edge, 0) == exit_amplitude(pattern)
 
     def test_each_step_computes_one_norm(self, monkeypatch):
         calls = []
@@ -261,7 +267,7 @@ class TestStep:
 
     def test_norm_check_compares_with_the_carried_norm(self):
         pattern = PhasePattern.constant(4)
-        table = transition_table(build_graph(4), pattern)
+        table = transition_table(WalkGraph(4), pattern)
         amp = np.zeros(4 * (4 + 4), dtype=complex)
         amp[table.a_in[0]] = 1.0
         with pytest.raises(AssertionError, match="broke the norm"):
@@ -269,16 +275,11 @@ class TestStep:
 
     def test_boundary_error_past_truncation(self):
         pattern = PhasePattern.constant(2)
-        graph = build_graph(2, 4)
+        graph = WalkGraph(2)
         state = initial_state()
         with pytest.raises(BoundaryError):
             for _ in range(5):
                 state = step(state, pattern, graph)
-
-    def test_run_walk_enforces_safe_horizon(self):
-        with pytest.raises(ValueError):
-            run_walk(PhasePattern.constant(2), steps=4, tail_depth=4)
-
 
 class TestExitProbability:
     def test_constant_amplitude_small_n(self):
