@@ -26,7 +26,6 @@ from .decoherence import detection_probability
 from .ensemble import _binomial_terms, _hypergeometric_terms
 
 TIE_TOL = 1e-9
-MAX_EXACT_TRIALS = 10**4
 
 
 class MissProbability(NamedTuple):
@@ -134,8 +133,6 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
     k_min = detection_count_threshold(m, epsilon)
 
     if n_paths is None:
-        if m > MAX_EXACT_TRIALS:
-            raise ValueError(f"binomial summation limited to m <= {MAX_EXACT_TRIALS}")
         balanced = _binomial_terms(m, 0.5, k_min, m)
         biased = _binomial_terms(m, (1 + epsilon) / 2, 0, k_min - 1)
     else:

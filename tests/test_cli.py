@@ -185,6 +185,37 @@ class TestEnsembleCommand:
         assert all(float(cell(table, "gap", r)) <= 1e-12 for r in range(3))
 
 
+class TestLargeCountLaws:
+    """Count laws at large N, and exact tails of more than 10^4 binomial terms."""
+
+    def test_ensemble_at_n_1e8(self, capsys):
+        code, out = run_cli(capsys, ["ensemble", "--n-list", "10000,1000000,100000000",
+                                     "--m", "100"])
+        assert code == 0
+        table = parse_csv_table(out)
+        for row in range(3):
+            assert abs(float(cell(table, "mass_sum", row)) - 1) <= 1e-12
+        assert float(cell(table, "gap_ratio", 2)) == pytest.approx(0.01, rel=1e-3)
+
+    def test_ensemble_past_int64(self, capsys):
+        # --n-list is not capped: N = 10^20 has counts that no int64 holds
+        code, out = run_cli(capsys, ["ensemble", "--n-list", "1000," + str(10**20), "--m", "10"])
+        assert code == 0
+        table = parse_csv_table(out)
+        assert abs(float(cell(table, "mass_sum", 1)) - 1) <= 1e-12
+        assert float(cell(table, "gap", 1)) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["epsilon", "--epsilon", "0.2", "--exact-tails", "--m-range", "20000"],
+        ["mc", "--strategy", "classical-eps", "--m", "100000", "--epsilon", "0.2",
+         "--experiments", "20000", "--seed", "3"],
+    ])
+    def test_more_than_1e4_binomial_terms(self, capsys, argv):
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert parse_csv_table(out).rows
+
+
 class TestMcCommand:
     def test_calibration_run(self, capsys):
         code, out = run_cli(capsys, ["mc", "--strategy", "quantum-dj", "--m", "2",

@@ -1,8 +1,7 @@
 """Subsequence-law tests: exact combinatorics and the binomial limit."""
 
 import math
-import sys
-import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +10,6 @@ from scipy import stats
 
 from cohwalk import ensemble
 from cohwalk.ensemble import (
-    EXACT_N_LIMIT,
     EnsembleParams,
     binomial_pmf,
     binomial_prob,
@@ -72,17 +70,6 @@ class TestHypergeometric:
                 ref = stats.hypergeom.pmf(m_plus, n, k, m)
                 assert ours == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
-    def test_log_route_agrees_with_exact_route(self):
-        # straddle the exact/log switchover with the same parameters
-        params_exact = EnsembleParams(200, HALF, 15, 8)
-        params_log = EnsembleParams(201, Fraction(100, 201), 15, 8)
-        assert hypergeometric_prob(params_log) == pytest.approx(
-            float(hypergeometric_prob_exact(params_log)), rel=1e-12
-        )
-        assert hypergeometric_prob(params_exact) == pytest.approx(
-            float(hypergeometric_prob_exact(params_exact)), rel=1e-15
-        )
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             EnsembleParams(10, 0.33, 3, 1)  # 3.3 plus entries
@@ -138,8 +125,7 @@ def _single_hypergeometric(n, k, m):
 class TestPmf:
     """The whole-law builders equal the single-count calls exactly."""
 
-    @pytest.mark.parametrize("n", [1, 10, 57, EXACT_N_LIMIT, EXACT_N_LIMIT + 1, 1000,
-                                   10**5, 10**8])
+    @pytest.mark.parametrize("n", [1, 10, 57, 200, 201, 1000, 10**5, 10**8])
     def test_hypergeometric_equals_single_counts(self, n):
         ms = sorted({0, 1, min(n, 7), min(n, 60)})
         for m in ms:
@@ -161,44 +147,40 @@ class TestPmf:
         p = Fraction(3, 7)
         assert binomial_pmf(13, p) == [binomial_prob(13, j, p) for j in range(14)]
 
-    @pytest.mark.xfail(strict=True, reason="lgamma cancellation in the log-gamma "
-                       "route: the mass is off by 4.8e-9 at N = 935342")
     def test_mass_near_one_at_large_n(self):
-        assert math.fsum(hypergeometric_pmf(935_342, 101_367, 25)) == pytest.approx(
-            1, abs=1e-9)
+        for n, k, m in [(935_342, 101_367, 25), (10**8, 5 * 10**7, 100)]:
+            assert math.fsum(hypergeometric_pmf(n, k, m)) == pytest.approx(1, abs=1e-12)
 
 
-def _log_comb(n, k):
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def scalar_binomial(m, j, p):
-    """The log-gamma binomial term written count by count: the reference for
-    the array expression, in the same association order."""
-    return math.exp(_log_comb(m, j) + j * math.log(p) + (m - j) * math.log1p(-p))
-
-
-def scalar_hypergeometric(n, k, m, j):
-    """The log-gamma hypergeometric term written count by count (N > 200)."""
-    if j > k or m - j > n - k:
-        return 0.0
-    return math.exp(_log_comb(m, j) + _log_comb(n - m, k - j) - _log_comb(n, k))
+def decimal_stirling_tail(y):
+    """log y! - (y log y - y) to 40 digits, from the exact factorial."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log_y = Decimal(y).ln() if y else Decimal(0)
+        return float(Decimal(math.factorial(y)).ln() - y * log_y + y)
 
 
 class TestScalarReference:
-    """Each law's array expression equals its term written out count by count."""
+    """The kernel's pieces against references worked out one count at a time."""
 
-    @pytest.mark.parametrize("p", [0.5, 0.55, 0.01, 0.999])
-    @pytest.mark.parametrize("m", [1, 2, 13, 1000, 10**4])
-    def test_binomial(self, m, p):
-        assert binomial_pmf(m, p) == [scalar_binomial(m, j, p) for j in range(m + 1)]
+    def test_stirling_table_is_correctly_rounded(self):
+        assert ensemble._STIRLING_TAIL.tolist() == [decimal_stirling_tail(y) for y in range(16)]
 
-    @pytest.mark.parametrize("n, k, m", [(201, 100, 60), (201, 5, 30), (201, 196, 30),
-                                         (1000, 333, 60), (10**5, 50_000, 2000),
-                                         (10**6, 10, 500), (10**8, 5 * 10**7, 60)])
-    def test_hypergeometric(self, n, k, m):
-        assert hypergeometric_pmf(n, k, m) == [scalar_hypergeometric(n, k, m, j)
-                                               for j in range(m + 1)]
+    def test_stirling_series_beyond_the_table(self):
+        ys = list(range(16, 300)) + [500, 999, 1000, 3000]
+        got = ensemble._stirling_tail(np.array(ys))
+        for y, value in zip(ys, got):
+            assert value == pytest.approx(decimal_stirling_tail(y), rel=2e-16, abs=0)
+
+    @pytest.mark.parametrize("x, mu", [(0, 0.0), (0, 3.5), (7, 7.0), (100, 95.5), (100, 60.0),
+                                       (1, 1e-300), (10**6, 999_000.0), (5, 1e4)])
+    def test_deviance(self, x, mu):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ratio = Decimal(x) / Decimal(mu) if x else Decimal(1)
+            want = float(x * ratio.ln() + Decimal(mu) - x)
+        got = ensemble._bd0(np.array([x]), np.array([mu]))[0]
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
 
     def test_certain_laws_are_point_masses(self):
         m = 10**4
@@ -211,8 +193,8 @@ class TestScalarReference:
 class TestRangedTerms:
     """The ranged term builders behind the exact tails are slices of the laws."""
 
-    @pytest.mark.parametrize("n, k, m", [(40, 20, 12), (EXACT_N_LIMIT, 150, 30),
-                                         (EXACT_N_LIMIT + 1, 100, 30), (201, 5, 30),
+    @pytest.mark.parametrize("n, k, m", [(40, 20, 12), (200, 150, 30),
+                                         (201, 100, 30), (201, 5, 30),
                                          (201, 196, 30), (1000, 500, 800), (10**5, 60_000, 300)])
     def test_hypergeometric_slices(self, n, k, m):
         pmf = hypergeometric_pmf(n, k, m)
@@ -226,65 +208,6 @@ class TestRangedTerms:
         pmf = binomial_pmf(m, p)
         for a, b in [(0, m), (0, 9), (30, m), (20, 20), (20, 19), (0, -1)]:
             assert ensemble._binomial_terms(m, p, a, b) == pmf[a:b + 1]
-
-    LAWS = [("binomial", 5000, 0.3), ("hypergeometric", 10**5, 4000, 3000),
-            ("binomial", 7, 0.3), ("hypergeometric", 1000, 500, 9),
-            ("binomial", 700, 0.45), ("hypergeometric", 10**6, 10, 40)]
-
-    @staticmethod
-    def _build(law):
-        kind, *args = law
-        return binomial_pmf(*args) if kind == "binomial" else hypergeometric_pmf(*args)
-
-    def test_shared_table_is_order_free(self, monkeypatch):
-        results = []
-        for order in (self.LAWS, self.LAWS[::-1], sorted(self.LAWS, key=lambda law: law[-1])):
-            monkeypatch.setattr(ensemble, "_LGAMMA", np.zeros(0))
-            built = {law: self._build(law) for law in order}
-            results.append([built[law] for law in self.LAWS])
-            # the table grows by doubling, to at most twice the largest m
-            assert len(ensemble._LGAMMA) <= 2 * (5000 + 1)
-        assert results[0] == results[1] == results[2]
-        assert results[0][0] == [binomial_prob(5000, j, 0.3) for j in range(5001)]
-        assert results[0][3] == _single_hypergeometric(1000, 500, 9)
-
-    def test_shared_table_grown_from_many_threads(self, monkeypatch):
-        # concurrent growth can store a shorter table over a longer one; the
-        # resetter does that on purpose, and no build may see it
-        laws = [("binomial", 3000, 0.3), ("binomial", 20, 0.3),
-                ("hypergeometric", 10**5, 4000, 2000), ("hypergeometric", 1000, 500, 9)]
-        expected = [self._build(law) for law in laws]
-        monkeypatch.setattr(ensemble, "_LGAMMA", np.zeros(0))
-        done, mismatches, interval = threading.Event(), [], sys.getswitchinterval()
-
-        def build(offset):
-            for i in range(40):
-                k = (offset + i) % len(laws)
-                try:
-                    if self._build(laws[k]) != expected[k]:
-                        mismatches.append(laws[k])
-                except IndexError as exc:  # a table shorter than the law's m
-                    mismatches.append(repr(exc))
-
-        def reset():
-            while not done.is_set():
-                ensemble._LGAMMA = np.zeros(0)
-
-        sys.setswitchinterval(1e-6)
-        try:
-            resetter = threading.Thread(target=reset)
-            builders = [threading.Thread(target=build, args=(i,)) for i in range(4)]
-            resetter.start()
-            for thread in builders:
-                thread.start()
-            for thread in builders:
-                thread.join(timeout=60)
-            done.set()
-            resetter.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in builders + [resetter])
-        assert mismatches == []
 
 
 class TestConvergence:

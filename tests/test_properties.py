@@ -5,7 +5,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dense_reference
@@ -18,7 +21,12 @@ from cohwalk.decoherence import (
     overlaps,
     rho_int,
 )
-from cohwalk.ensemble import binomial_pmf, hypergeometric_pmf
+from cohwalk.ensemble import (
+    EnsembleParams,
+    binomial_pmf,
+    hypergeometric_pmf,
+    hypergeometric_prob_exact,
+)
 from cohwalk.montecarlo import STREAM_BLOCK, experiment_uniforms
 from cohwalk.walk import PhasePattern
 
@@ -42,19 +50,64 @@ def test_hypergeometric_entries_are_probabilities(composition):
     assert all(0 <= x <= 1 for x in hypergeometric_pmf(*composition))
 
 
-# Up to N = 10^5 the log-gamma route keeps the mass within 1e-9 of 1
-# (worst seen 4.0e-10).  Beyond it cancellation between lgamma values
-# of size ~N log N costs more: test_ensemble pins a case at N ~ 9.4e5.
+# Every entry is within 5e-13 relative of the exact rational at any N, so
+# the mass stays within 1e-12 of 1 up to N = 10^12.
 @settings(max_examples=200, deadline=None)
-@given(compositions(10**5))
+@given(compositions(10**12))
 def test_hypergeometric_mass_is_one(composition):
-    assert _is_law(hypergeometric_pmf(*composition), 1e-9)
+    assert _is_law(hypergeometric_pmf(*composition), 1e-12)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**4), st.floats(0, 1))
+@given(st.integers(0, 10**6), st.floats(0, 1))
 def test_binomial_is_a_law(m, p):
-    assert _is_law(binomial_pmf(m, p), 1e-9)
+    assert _is_law(binomial_pmf(m, p), 1e-12)
+
+
+def _close(value, exact, rtol=1e-12):
+    return value == exact == 0 or abs(value - exact) <= rtol * exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(compositions(10**12))
+def test_hypergeometric_entries_match_exact(composition):
+    n, k, m = composition
+    pmf = hypergeometric_pmf(n, k, m)
+    for j, value in enumerate(pmf):
+        exact = float(hypergeometric_prob_exact(EnsembleParams(n, Fraction(k, n), m, j)))
+        assert _close(value, exact), (j, value, exact)
+
+
+def _counts_to_check(m, p):
+    """The mode, 1, 5 and 10 standard deviations either side, and both ends."""
+    mean, sd = m * p, math.sqrt(m * p * (1 - p))
+    counts = {0, 1, m - 1, m} | {round(mean + c * sd) for c in (0, 1, -1, 5, -5, 10, -10)}
+    return sorted(j for j in counts if 0 <= j <= m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20_000), st.integers(1, 6), st.data())
+def test_binomial_entries_match_exact(m, bits, data):
+    # p = a / 2^bits is a float exactly, so the exact term is the Fraction one
+    p = Fraction(data.draw(st.integers(1, 2**bits - 1)), 2**bits)
+    pmf = binomial_pmf(m, float(p))
+    for j in _counts_to_check(m, float(p)):
+        exact = float(math.comb(m, j) * p**j * (1 - p) ** (m - j))
+        assert _close(pmf[j], exact), (j, pmf[j], exact)
+
+
+# Near the mode of a law with m = 10^6 the exact Fraction takes seconds
+# (math.comb alone), so 40-digit mpmath is the reference there.  A float
+# p like 0.3 puts its rounding into m*p, which costs up to ~8e-13 at 10
+# standard deviations; the reference takes the float's exact value.
+@pytest.mark.parametrize("m", [10**5, 10**6])
+@pytest.mark.parametrize("p", [0.5, 0.3, 1 / 7, 0.001, 0.999])
+def test_binomial_entries_at_large_m(m, p):
+    pmf = binomial_pmf(m, p)
+    with mpmath.workdps(40):
+        for j in _counts_to_check(m, p):
+            exact = mpmath.binomial(m, j) * mpmath.mpf(p) ** j * (1 - mpmath.mpf(p)) ** (m - j)
+            assert _close(pmf[j], float(exact)), (j, pmf[j], exact)
 
 
 @settings(max_examples=50, deadline=None)
