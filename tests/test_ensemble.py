@@ -4,6 +4,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -160,8 +161,52 @@ def decimal_stirling_tail(y):
         return float(Decimal(math.factorial(y)).ln() - y * log_y + y)
 
 
+def reference_binomial(m, p):
+    """Every binomial term to 40 digits, count by count from (1 - p)^m by the
+    ratio of neighbours; p is taken at its exact float value."""
+    with mpmath.workdps(40):
+        p_, q_ = mpmath.mpf(p), 1 - mpmath.mpf(p)
+        term, terms = q_ ** m, []
+        for j in range(m + 1):
+            terms.append(float(term))
+            term *= mpmath.mpf(m - j) / (j + 1) * p_ / q_
+    return terms
+
+
+def reference_hypergeometric(n, k, m):
+    """Every hypergeometric term to 40 digits: the exact rational at the
+    lowest feasible count, then the ratio of neighbours."""
+    lo, hi = max(0, m - (n - k)), min(k, m)
+    exact = hypergeometric_prob_exact(EnsembleParams(n, Fraction(k, n), m, lo))
+    terms = [0.0] * (m + 1)
+    with mpmath.workdps(40):
+        term = mpmath.mpf(exact.numerator) / exact.denominator
+        for j in range(lo, hi + 1):
+            terms[j] = float(term)
+            term *= mpmath.mpf((k - j) * (m - j)) / ((j + 1) * (n - k - m + j + 1))
+    return terms
+
+
+def assert_terms_match(got, want):
+    # 1e-12 relative; the absolute floor admits the subnormal terms only
+    assert len(got) == len(want)
+    for j, (value, ref) in enumerate(zip(got, want)):
+        assert value == pytest.approx(ref, rel=1e-12, abs=1e-300), j
+
+
 class TestScalarReference:
-    """The kernel's pieces against references worked out one count at a time."""
+    """The kernel and its pieces against references worked out one count at a time."""
+
+    @pytest.mark.parametrize("p", [0.5, 0.55, 0.01, 0.999])
+    @pytest.mark.parametrize("m", [1, 2, 13, 1000, 10**4])
+    def test_binomial(self, m, p):
+        assert_terms_match(binomial_pmf(m, p), reference_binomial(m, p))
+
+    @pytest.mark.parametrize("n, k, m", [(201, 100, 60), (201, 5, 30), (201, 196, 30),
+                                         (1000, 333, 60), (10**5, 50_000, 2000),
+                                         (10**6, 10, 500), (10**8, 5 * 10**7, 60)])
+    def test_hypergeometric(self, n, k, m):
+        assert_terms_match(hypergeometric_pmf(n, k, m), reference_hypergeometric(n, k, m))
 
     def test_stirling_table_is_correctly_rounded(self):
         assert ensemble._STIRLING_TAIL.tolist() == [decimal_stirling_tail(y) for y in range(16)]
