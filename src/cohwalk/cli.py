@@ -203,7 +203,7 @@ def cmd_decide(args):
     for m in ms:
         threshold = decision.coherence_threshold(m)
         # exact-n switches the classical side to without-replacement sampling
-        c_err = float(decision.classical_error(m, n_paths=n_paths))
+        c_err = float(decision._all_same_given_balanced(m, n_paths)) / 2
         for nu in nus:
             q_err = float(decision.quantum_error(m, nu, n_paths=n_paths))
             post_c, _ = decision.quantum_posterior_all_zero(m, nu, n_paths=n_paths)

@@ -23,19 +23,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decoherence import detection_probability
-from .ensemble import EnsembleParams, hypergeometric_prob_exact
+from .ensemble import EnsembleParams, hypergeometric_prob, hypergeometric_prob_exact
 
 
-def _all_same_given_balanced(m, n_paths=None):
-    """P(all m sampled shifters agree | balanced pattern)."""
+def _all_same_given_balanced(m, n_paths=None, exact=False):
+    """P(all m sampled shifters agree | balanced pattern).  With ``n_paths`` it is
+    twice the count law's term at m: a float, O(m), or if ``exact`` a rational, ~O(m^2)."""
     if n_paths is None:
         return 2 * Fraction(1, 2**m)
     if n_paths % 2 != 0:
         raise ValueError("balanced patterns need an even number of paths")
     if m > n_paths:
         raise ValueError("cannot sample more shifters than paths")
-    params = EnsembleParams(n_paths, Fraction(1, 2), m, m)
-    return 2 * hypergeometric_prob_exact(params)
+    law = hypergeometric_prob_exact if exact else hypergeometric_prob
+    return 2 * law(EnsembleParams(n_paths, Fraction(1, 2), m, m))
 
 
 def classical_error(m, n_paths=None):
@@ -43,11 +44,11 @@ def classical_error(m, n_paths=None):
 
     The rule only errs on a balanced pattern that happens to give m equal
     readings, so the error is 1/2 * P(all same | balanced), which is 2^-m
-    under independent sampling.
+    under independent sampling.  The result is an exact rational.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return Fraction(1, 2) * _all_same_given_balanced(m, n_paths)
+    return Fraction(1, 2) * _all_same_given_balanced(m, n_paths, exact=True)
 
 
 def no_exit_likelihoods(first, m, nu, epsilon=None, n_paths=None):

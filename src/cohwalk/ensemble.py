@@ -18,7 +18,11 @@ term is b(j; k, m/N) b(m-j; N-k, m/N) / b(m; N, m/N), since the powers
 of m/N cancel.  Entries are within 5e-13 relative of the exact rational
 at any N, and within 1e-12 in the far tails of binomial laws near
 m = 10^6, where m*p itself rounds.  Each law is one term builder over a
-range of counts: one count, 0..m, or the counts a tail sums.
+range of counts (one count, 0..m, or the counts a tail sums) that builds
+only those within sqrt(373 m) of the law's mean: by Hoeffding's inequality
+(W. Hoeffding, JASA 58, 1963), which also holds for draws without
+replacement, each count farther out has probability below e^-746 < 2^-1075
+and a float term of exactly 0.0.  A tail thus costs O(sqrt m).
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class EnsembleParams:
 
     ``n_total`` and ``m`` are the sequence and subsequence lengths,
     ``p`` the fraction of +1 entries (p * n_total must be an integer),
-    and ``m_plus`` the +1 count whose probability is wanted.
+    and ``m_plus`` the +1 count whose probability is wanted.  Past 2^53,
+    where a float product can miss pN, p * n_total is taken exactly.
     """
 
     n_total: int
@@ -49,13 +54,17 @@ class EnsembleParams:
             raise ValueError("need 0 <= m_plus <= m <= n_total")
         if not 0 <= self.p <= 1:  # also rejects nan and inf
             raise ValueError("p must lie in [0, 1]")
-        k = self.p * self.n_total
-        if abs(k - round(k)) > 1e-9:
+        k = self._plus
+        if abs(k - round(k)) > (1e-9 if self.n_total <= 2**53 else 0):
             raise ValueError(f"p * n_total = {k} is not an integer")
 
     @property
+    def _plus(self):
+        return self.p * self.n_total if self.n_total <= 2**53 else Fraction(self.p) * self.n_total
+
+    @property
     def n_plus(self):
-        return round(self.p * self.n_total)
+        return round(self._plus)
 
 
 def hypergeometric_prob_exact(params):
@@ -133,26 +142,43 @@ def _log_binomial(x, n, p, q):
     Loader's form T(n) - T(x) - T(n-x) - bd0(x, np) - bd0(n-x, nq), with x,
     n - x and n stacked so that each piece runs once.  ``n`` is a float
     array of one count or one per x: exact below 2^53, and past int64.
+    ``p`` and ``q`` are floats, or float arrays of one per x.
     """
     size = len(x)
     y = np.concatenate((x, n - x, n))
     tail = _stirling_tail(y)
-    mean = np.multiply.outer((p, q), y[:size] + y[size:2 * size]).ravel()  # x + (n-x) = n
+    mean = (np.reshape((p, q), (2, -1)) * (y[:size] + y[size:2 * size])).ravel()  # x + (n-x) = n
     sums = tail[:2 * size] + _bd0(y[:2 * size], mean)
     return tail[2 * size:] - sums[:size] - sums[size:]
 
 
+def _window(m, mean, a, b, lo, hi):
+    """The counts of a..b within lo..hi that lie within sqrt(373 m) of ``mean``."""
+    r = math.sqrt(373 * m)
+    return np.arange(max(a, lo, math.ceil(mean - r)), min(b, hi, math.floor(mean + r)) + 1)
+
+
+def _padded(a, b, terms, windows):
+    """A one-law stack's terms, as the list for a..b with 0.0 elsewhere."""
+    lo = int(windows[0][0]) if terms else b + 1
+    return [0.0] * (lo - a) + terms + [0.0] * (b + 1 - lo - len(terms))
+
+
+def _hypergeometric_stack(n, m, laws):
+    """``hypergeometric_prob`` over the window of each law (k, a, b), as one
+    list of every law's terms in turn, and the windows: one kernel call.
+    """
+    windows = [_window(m, m * k / n, a, b, m - (n - k), k) for k, a, b in laws]
+    j, sizes, ks = np.concatenate(windows), [len(w) for w in windows], [k for k, _, _ in laws]
+    # b(j; k, m/n) b(m-j; n-k, m/n) / b(m; n, m/n), one normalizer for every law
+    counts = np.repeat(np.array(ks + [n - k for k in ks] + [n], float), sizes + sizes + [1])
+    arg = _log_binomial(np.concatenate((j, m - j, [m])), counts, m / n, (n - m) / n)
+    return np.exp(arg[:len(j)] + arg[len(j):-1] - arg[-1]).tolist(), windows
+
+
 def _hypergeometric_terms(n, k, m, a, b):
     """``hypergeometric_prob`` for the counts j = a..b, as a list."""
-    lo, hi = max(a, m - (n - k)), min(b, k)
-    if lo > hi:
-        return [0.0] * max(0, b - a + 1)
-    j = np.arange(lo, hi + 1)
-    size = len(j)  # b(j; k, m/n) b(m-j; n-k, m/n) / b(m; n, m/n) from one kernel call
-    counts = np.repeat(np.array((k, n - k, n), float), (size, size, 1))
-    arg = _log_binomial(np.concatenate((j, m - j, [m])), counts, m / n, (n - m) / n)
-    arg = arg[:size] + arg[size:-1] - arg[-1]
-    return [0.0] * (lo - a) + np.exp(arg).tolist() + [0.0] * (b - hi)
+    return _padded(a, b, *_hypergeometric_stack(n, m, [(k, a, b)]))
 
 
 def hypergeometric_pmf(n, k, m):
@@ -172,18 +198,29 @@ def binomial_prob(m, m_plus, p):
     return _binomial_terms(m, p, m_plus, m_plus)[0]
 
 
+def _binomial_stack(m, laws):
+    """``binomial_prob`` over the window of each law (p, a, b), as one list of
+    every law's terms in turn, and the counts of each: one kernel call.  If a
+    law has ``Fraction`` p, or p = 0 or 1, every law takes ``_binomial_terms``
+    over all of a..b instead.
+    """
+    if any(isinstance(p, Fraction) or p in (0, 1) for p, _, _ in laws):
+        terms = [t for p, a, b in laws for t in _binomial_terms(m, p, a, b)]
+        return terms, [np.arange(a, b + 1) for _, a, b in laws]
+    windows = [_window(m, m * p, a, b, 0, m) for p, a, b in laws]
+    p = np.repeat([p for p, _, _ in laws], [len(w) for w in windows])
+    arg = _log_binomial(np.concatenate(windows), np.float64([m]), p, 1 - p)
+    return np.exp(arg).tolist(), windows
+
+
 def _binomial_terms(m, p, a, b):
     """``binomial_prob`` for the counts j = a..b, as a list (0.0 outside 0..m)."""
-    lo, hi = max(a, 0), min(b, m)
-    if lo > hi:
-        return [0.0] * max(0, b - a + 1)
     if isinstance(p, Fraction):
-        terms = [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(lo, hi + 1)]
-    elif p == 0 or p == 1:  # a point mass at 0 or at m
-        terms = [float(j == p * m) for j in range(lo, hi + 1)]
-    else:
-        terms = np.exp(_log_binomial(np.arange(lo, hi + 1), np.float64([m]), p, 1 - p)).tolist()
-    return [0.0] * (lo - a) + terms + [0.0] * (b - hi)
+        return [math.comb(m, j) * p**j * (1 - p) ** (m - j) if 0 <= j <= m else 0.0
+                for j in range(a, b + 1)]
+    if p == 0 or p == 1:  # a point mass at 0 or at m
+        return [float(j == p * m) for j in range(a, b + 1)]
+    return _padded(a, b, *_binomial_stack(m, [(p, a, b)]))
 
 
 def binomial_pmf(m, p):

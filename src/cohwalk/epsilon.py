@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .decision import no_exit_likelihoods
 from .decoherence import detection_probability
-from .ensemble import _binomial_terms, _hypergeometric_terms
+from .ensemble import _binomial_stack, _hypergeometric_stack
 
 TIE_TOL = 1e-9
 
@@ -122,9 +122,12 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
     with success probability 1/2 or (1+eps)/2); with it they are drawn
     without replacement from a fixed composition of n_paths shifters
     (hypergeometric counts).  Only the counts each tail sums are built
-    (k_min..m under balance, 0..k_min-1 under bias), each equal to its
-    pmf entry; ``math.fsum`` is correctly rounded, so the order of the
-    terms does not change the sum.
+    (k_min..m under balance, 0..k_min-1 under bias, within the law's
+    window), each equal to its pmf entry, both tails from one kernel call.
+    ``math.fsum`` is correctly rounded in any order but fastest largest
+    term first (~0.09 ms against 1.6 ms for the 1,681-term biased tail at
+    m = 10^4, eps = 0.1), so the biased tail, which rises to k_min - 1, is
+    summed in reverse.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -133,8 +136,7 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
     k_min = detection_count_threshold(m, epsilon)
 
     if n_paths is None:
-        balanced = _binomial_terms(m, 0.5, k_min, m)
-        biased = _binomial_terms(m, (1 + epsilon) / 2, 0, k_min - 1)
+        tails, windows = _binomial_stack(m, [(0.5, k_min, m), ((1 + epsilon) / 2, 0, k_min - 1)])
     else:
         n = n_paths
         if m > n:
@@ -144,8 +146,7 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
         k_biased = (1 + epsilon) * n / 2
         if abs(k_biased - round(k_biased)) > 1e-9:
             raise ValueError(f"(1+epsilon)*N/2 = {k_biased} is not an integer")
-        balanced = _hypergeometric_terms(n, n // 2, m, k_min, m)
-        biased = _hypergeometric_terms(n, round(k_biased), m, 0, k_min - 1)
-    false_eps = math.fsum(balanced)
-    false_bal = math.fsum(biased)
-    return TailProbabilities(false_eps, false_bal)
+        laws = [(n // 2, k_min, m), (round(k_biased), 0, k_min - 1)]
+        tails, windows = _hypergeometric_stack(n, m, laws)
+    s = len(windows[0])
+    return TailProbabilities(math.fsum(tails[:s]), math.fsum(tails[s:][::-1]))

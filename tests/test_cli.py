@@ -205,6 +205,20 @@ class TestLargeCountLaws:
         assert abs(float(cell(table, "mass_sum", 1)) - 1) <= 1e-12
         assert float(cell(table, "gap", 1)) <= 1e-12
 
+    def test_ensemble_composition_exact_past_2_53(self, capsys):
+        # pN from the float product would print 4999999999999999817948147482624
+        code, out = run_cli(capsys, ["ensemble", "--n-list", str(10**31), "--m", "10"])
+        assert code == 0
+        assert cell(parse_csv_table(out), "n_plus") == str(5 * 10**30)
+
+    def test_ensemble_inexact_composition_past_2_53_rejected(self, capsys):
+        # the float 0.3 times 10^17 is no integer, though 0.3 * 1e17 rounds to one
+        code = main(["ensemble", "--n-list", str(10**17), "--p", "0.3", "--m", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["epsilon", "--epsilon", "0.2", "--exact-tails", "--m-range", "20000"],
         ["mc", "--strategy", "classical-eps", "--m", "100000", "--epsilon", "0.2",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cohwalk.decision import (
+    _all_same_given_balanced,
     classical_error,
     coherence_threshold,
     enumerate_two_trial_table,
@@ -129,6 +130,14 @@ class TestClassical:
         for i in range(m):
             all_plus *= Fraction(k - i, n - i)
         assert classical_error(m, n_paths=n) == HALF * 2 * all_plus
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 100, 999, 1000])
+    @pytest.mark.parametrize("n", [1000, 1002, 10**4, 10**6, 10**8])
+    def test_float_route_matches_the_fraction(self, m, n):
+        # mc and decide --mode exact-n take the float; classical_error stays exact
+        exact = 2 * classical_error(m, n_paths=n)
+        assert isinstance(exact, Fraction)
+        assert _all_same_given_balanced(m, n) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 class TestQuantum:

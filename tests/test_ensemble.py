@@ -255,6 +255,45 @@ class TestRangedTerms:
             assert ensemble._binomial_terms(m, p, a, b) == pmf[a:b + 1]
 
 
+def _unwindowed(m, mean, a, b, lo, hi):
+    """``ensemble._window`` without the Hoeffding cut: every count of a..b in lo..hi."""
+    return np.arange(max(a, lo), min(b, hi) + 1)
+
+
+def _just_outside(window, lo, hi):
+    """The counts next to each end of ``window`` that lie within lo..hi."""
+    return [j for j in (int(window[0]) - 1, int(window[-1]) + 1) if lo <= j <= hi]
+
+
+class TestHoeffdingWindow:
+    """Counts farther than sqrt(373 m) from the mean have probability below
+    e^-746 < 2^-1075, so the kernel gives them exactly 0.0 and the term
+    builders skip them.  The kernel's own terms come from ``_unwindowed``."""
+
+    @pytest.mark.parametrize("p", [0.5, 0.55, 1e-3, 0.999])
+    @pytest.mark.parametrize("m", [1500, 10**4, 10**5, 10**6])
+    def test_binomial_term_beyond_each_end_is_zero(self, monkeypatch, m, p):
+        ends = _just_outside(ensemble._window(m, m * p, 0, m, 0, m), 0, m)
+        windowed = binomial_pmf(m, p) if m <= 10**5 else None
+        monkeypatch.setattr(ensemble, "_window", _unwindowed)
+        assert ends
+        assert [ensemble._binomial_terms(m, p, j, j) for j in ends] == [[0.0]] * len(ends)
+        if windowed is not None:
+            assert windowed == binomial_pmf(m, p)
+
+    @pytest.mark.parametrize("n, k, m", [(10**4, 5000, 2000), (10**5, 50_000, 10**4),
+                                         (10**6, 990_000, 5000), (10**8, 3 * 10**7, 10**4),
+                                         (10**12, 5 * 10**11, 10**5), (10**12, 10**9, 10**5)])
+    def test_hypergeometric_term_beyond_each_end_is_zero(self, monkeypatch, n, k, m):
+        lo, hi = max(0, m - (n - k)), min(k, m)
+        ends = _just_outside(ensemble._window(m, m * k / n, 0, m, lo, hi), lo, hi)
+        windowed = hypergeometric_pmf(n, k, m)
+        monkeypatch.setattr(ensemble, "_window", _unwindowed)
+        assert ends
+        assert [ensemble._hypergeometric_terms(n, k, m, j, j) for j in ends] == [[0.0]] * len(ends)
+        assert windowed == hypergeometric_pmf(n, k, m)
+
+
 class TestConvergence:
     def test_gap_decreases_with_sequence_length(self):
         for p in (0.5, 0.55):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cohwalk import ensemble
 from cohwalk.decision import no_exit_likelihoods
 from cohwalk.decoherence import detection_probability
 from cohwalk.ensemble import binomial_pmf, hypergeometric_pmf
@@ -208,6 +209,24 @@ class TestExactTails:
         tails = exact_tail_probabilities(m, eps, n)
         assert tails.false_eps == math.fsum(balanced[k_min:])
         assert tails.false_bal == math.fsum(biased[:k_min])
+
+    @pytest.mark.parametrize("m, eps, n", [(10**5, 0.01, None), (10**4, 0.1, None),
+                                           (40, 1.0, None), (2 * 10**4, 0.1, 10**5),
+                                           (30, 1.0, 202)])
+    def test_one_kernel_call_over_both_windows(self, monkeypatch, m, eps, n):
+        # eps = 1 puts the biased binomial law on its point-mass route, outside the kernel
+        calls, kernel = [], ensemble._log_binomial
+
+        def counting_kernel(x, *rest):
+            calls.append(len(x))
+            return kernel(x, *rest)
+
+        monkeypatch.setattr(ensemble, "_log_binomial", counting_kernel)
+        exact_tail_probabilities(m, eps, n)
+        assert len(calls) == 1
+        # a hypergeometric call stacks the counts j, m - j and one normalizer
+        counts = calls[0] if n is None else (calls[0] - 1) // 2
+        assert counts <= min(2 * (2 * math.sqrt(373 * m) + 1), m + 1)
 
     def test_tails_off_support_are_zero(self):
         # the whole sequence is sampled, so each count is certain
