@@ -258,12 +258,13 @@ def cmd_ensemble(args):
     for n in ns:
         if args.m > n / 10:
             raise SystemExit(f"--m {args.m} too large for N={n}: need m <= N/10")
-        gap = ensemble.convergence_gap(n, args.p, args.m)
+        k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
+        law = ensemble.hypergeometric_pmf(n, k_plus, args.m)
+        gap = ensemble.convergence_gap(n, args.p, args.m, hypergeometric=law)
         ratio = gap / previous_gap if previous_gap else None  # no ratio after a zero gap
         decreasing_ok = None if previous_gap is None else (
             gap < previous_gap or gap <= GAP_NOISE)
-        k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
-        mass = sum(ensemble.hypergeometric_pmf(n, k_plus, args.m))
+        mass = sum(law)
         normalization_ok = abs(mass - 1.0) <= 1e-9
         rows.append([n, args.p, args.m, k_plus, gap, ratio, decreasing_ok, mass, normalization_ok])
         previous_gap = gap

@@ -18,7 +18,10 @@ ancilla-register simulation used as an oracle for all of the closed
 forms.  G is rank one plus a diagonal, so ``overlaps`` returns it as an
 O(N) ``Overlaps`` record and ``rho_int`` returns a ``RhoInt`` record;
 every quantity here is a sum read off those records in O(N) time and
-memory, and no N x N matrix is built.
+memory, and no N x N matrix is built.  The oracle stores the joint state
+only over the marker configurations that hold amplitude: each path
+rotates its marker once, so the three-step walk reaches N + 1 of the
+2^N configurations.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from .walk import WalkGraph, advance, state_norm, transition_table
+from .walk import WalkGraph, advance, transition_table
 
 BOUND_TOL = 1e-12
 ORACLE_MAX_PATHS = 12
@@ -39,17 +42,19 @@ class AncillaSpec:
     Use ``AncillaSpec.uniform(nu, n_paths)`` for the common-overlap case
     (every qubit rotated the same way, pairwise overlap exactly ``nu``)
     or ``AncillaSpec.per_path(alphas, betas)`` for arbitrary qubits.
+    ``alphas`` and ``betas`` are stored as read-only 1-D complex arrays.
     """
 
     def __init__(self, alphas, betas, nu=None):
-        self.alphas = tuple(complex(a) for a in alphas)
-        self.betas = tuple(complex(b) for b in betas)
+        self.alphas = np.array(alphas, dtype=complex)
+        self.betas = np.array(betas, dtype=complex)
         self.nu = nu
-        if len(self.alphas) != len(self.betas):
-            raise ValueError("alphas and betas must have equal length")
-        for a, b in zip(self.alphas, self.betas):
-            if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-                raise ValueError("marker qubit amplitudes must be normalized")
+        if self.alphas.ndim != 1 or self.alphas.shape != self.betas.shape:
+            raise ValueError("alphas and betas must be 1-D and of equal length")
+        deviation = np.abs(np.abs(self.alphas) ** 2 + np.abs(self.betas) ** 2 - 1.0)
+        if not np.all(deviation <= 1e-12):  # written so that nan fails too
+            raise ValueError("marker qubit amplitudes must be normalized")
+        self.alphas.flags.writeable = self.betas.flags.writeable = False
 
     @property
     def n_paths(self):
@@ -61,7 +66,7 @@ class AncillaSpec:
             raise ValueError("nu must lie in [0, 1]")
         a = math.sqrt(nu)
         b = math.sqrt(1.0 - nu)
-        return cls((a,) * n_paths, (b,) * n_paths, nu=nu)
+        return cls(np.full(n_paths, a), np.full(n_paths, b), nu=nu)
 
     @classmethod
     def per_path(cls, alphas, betas):
@@ -104,7 +109,7 @@ class RhoInt:
 
 def overlaps(spec):
     """Environment overlaps G[k][j] = <eta_k|eta_j> as an ``Overlaps`` record."""
-    return Overlaps(np.asarray(spec.alphas), spec.nu)
+    return Overlaps(spec.alphas, spec.nu)
 
 
 def rho_int(pattern, overlap):
@@ -200,19 +205,46 @@ def detection_probability(promise, nu, epsilon=None, n_paths=None):
     raise ValueError(f"unknown promise {promise!r}")
 
 
-def _qubit_rotation(alpha, beta):
-    # unitary completion of |0> -> alpha|0> + beta|1>
-    return np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
+def _rotate_markers(state, configs, column_of, rows, rotations, bits):
+    """Apply ``rotations[i]`` to marker bit ``bits[i]`` in row ``rows[i]``, for all i at once.
+
+    ``state`` has a column per marker configuration, column k holding the
+    bitmask ``configs[k]`` and ``column_of`` the inverse lookup; the rows
+    must differ.  Returns the state and configs with a column appended for
+    each configuration first reached, and updates ``column_of`` in place.
+    """
+    # each held entry of a row gives the (lo, hi) pair of configs that differ
+    # in the row's bit.  When lo and hi are both held the pair comes twice,
+    # and both copies read before either writes, so they write the same values.
+    t, col = np.nonzero(state[rows])
+    c, bit = configs[col], bits[t]
+    lo, hi = c & ~bit, c | bit
+    # a column per config first reached, once even if two pairs reach it: of
+    # a repeated bitmask's positions one write to column_of survives, and only
+    # that position is kept (no np.unique, whose first call imports numpy.ma)
+    fresh = np.concatenate((lo, hi))
+    fresh = fresh[column_of[fresh] < 0]
+    column_of[fresh] = np.arange(len(fresh))
+    fresh = fresh[column_of[fresh] == np.arange(len(fresh))]
+    column_of[fresh] = len(configs) + np.arange(len(fresh))
+    configs = np.concatenate((configs, fresh))
+    state = np.concatenate((state, np.zeros((len(state), len(fresh)), complex)), axis=1)
+    r, cols = rows[t][:, None], column_of[np.stack((lo, hi), axis=-1)]
+    state[r, cols] = (rotations[t] @ state[r, cols][..., None])[..., 0]
+    return state, configs
 
 
 def full_tensor_oracle(pattern, spec):
     """Exit probability from the explicit particle (x) marker simulation.
 
-    Evolves the joint state over edge states and the full 2^N marker
-    register for three steps, applying the qubit rotation of path j on
-    every transit of vertex j, then sums |amplitude|^2 on the exit edge
-    over all marker configurations.  Exact partial trace, no formulas;
-    limited to N <= 12 by the register size.
+    Evolves the joint state over edge states and marker configurations
+    for three steps, applying the qubit rotation of path j on every
+    transit of vertex j, then sums |amplitude|^2 on the exit edge over
+    all marker configurations.  Exact partial trace, no formulas.  Only
+    the configurations that the rotations reach get a column, N + 1 of
+    the 2^N in the three-step walk; the others hold exactly 0.  Limited
+    to N <= 12, which keeps the length-2^N lookup from configuration to
+    column small.
     """
     n = pattern.n_paths
     if spec.n_paths != n:
@@ -222,23 +254,26 @@ def full_tensor_oracle(pattern, spec):
 
     graph = WalkGraph(n)
     table = transition_table(graph, pattern)
-    rotations = [_qubit_rotation(a, b) for a, b in zip(spec.alphas, spec.betas)]
+    # path j's unitary completion of |0> -> alpha_j|0> + beta_j|1>
+    a, b = spec.alphas, spec.betas
+    rotations = np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n, 2, 2)
+    bits = 1 << np.arange(n - 1, -1, -1)  # marker j is bit N-1-j, as in a (2,)*N register
 
-    state = np.zeros((graph.n_states, 2**n), dtype=complex)
+    # column i holds the marker bitmask configs[i]; column_of inverts configs
+    configs = np.zeros(1, dtype=np.int64)
+    column_of = np.full(2**n, -1)
+    column_of[0] = 0
+    state = np.zeros((graph.n_states, 1), dtype=complex)
     state[table.a_in[0], 0] = 1.0  # |0,A>, markers all |0>
+    norm = 1.0
 
     for _ in range(3):
-        # the step acts alike on every marker configuration, so only the
-        # occupied columns of the register need stepping
-        occupied = np.flatnonzero(state.any(axis=0))
-        columns = state[:, occupied]
-        transits = columns[table.path_src].any(axis=-1)
-        state[:, occupied], _ = advance(columns, table, state_norm(columns))
-        for side, j in zip(*np.nonzero(transits)):
-            row = table.path_dst[side, j]
-            reg = state[row].reshape((2,) * n)
-            reg = np.moveaxis(np.tensordot(rotations[j], reg, axes=([1], [j])), 0, j)
-            state[row] = reg.reshape(-1)
+        transits = state[table.path_src].any(axis=-1)
+        state, norm = advance(state, table, norm)
+        side, path = np.nonzero(transits)
+        state, configs = _rotate_markers(state, configs, column_of, table.path_dst[side, path],
+                                         rotations[path], bits[path])
 
-    exit_row = state[table.b_out[0]]  # |B,N+1>
+    exit_row = np.zeros(2**n, dtype=complex)
+    exit_row[configs] = state[table.b_out[0]]  # |B,N+1>, in register order
     return float(np.sum(np.abs(exit_row) ** 2))

@@ -200,17 +200,21 @@ def binomial_prob(m, m_plus, p):
 
 def _binomial_stack(m, laws):
     """``binomial_prob`` over the window of each law (p, a, b), as one list of
-    every law's terms in turn, and the counts of each: one kernel call.  If a
-    law has ``Fraction`` p, or p = 0 or 1, every law takes ``_binomial_terms``
-    over all of a..b instead.
+    every law's terms in turn, and the counts of each: one kernel call.  A
+    certain law (p = 0 or 1) is a point mass, so its window is its one count,
+    with term 1.0, and stays out of the kernel.  If a law has ``Fraction`` p,
+    every law takes ``_binomial_terms`` over all of a..b instead.
     """
-    if any(isinstance(p, Fraction) or p in (0, 1) for p, _, _ in laws):
+    if any(isinstance(p, Fraction) for p, _, _ in laws):
         terms = [t for p, a, b in laws for t in _binomial_terms(m, p, a, b)]
         return terms, [np.arange(a, b + 1) for _, a, b in laws]
-    windows = [_window(m, m * p, a, b, 0, m) for p, a, b in laws]
+    windows = [_window(m if 0 < p < 1 else 0, m * p, a, b, 0, m) for p, a, b in laws]
     p = np.repeat([p for p, _, _ in laws], [len(w) for w in windows])
-    arg = _log_binomial(np.concatenate(windows), np.float64([m]), p, 1 - p)
-    return np.exp(arg).tolist(), windows
+    x, terms = np.concatenate(windows), np.ones(len(p))
+    uncertain = (0 < p) & (p < 1)
+    p = p[uncertain]
+    terms[uncertain] = np.exp(_log_binomial(x[uncertain], np.float64([m]), p, 1 - p))
+    return terms.tolist(), windows
 
 
 def _binomial_terms(m, p, a, b):
@@ -218,8 +222,6 @@ def _binomial_terms(m, p, a, b):
     if isinstance(p, Fraction):
         return [math.comb(m, j) * p**j * (1 - p) ** (m - j) if 0 <= j <= m else 0.0
                 for j in range(a, b + 1)]
-    if p == 0 or p == 1:  # a point mass at 0 or at m
-        return [float(j == p * m) for j in range(a, b + 1)]
     return _padded(a, b, *_binomial_stack(m, [(p, a, b)]))
 
 
@@ -232,15 +234,17 @@ def binomial_pmf(m, p):
     return _binomial_terms(m, p, 0, m)
 
 
-def convergence_gap(n_total, p, m):
+def convergence_gap(n_total, p, m, hypergeometric=None):
     """Worst-case |hypergeometric - binomial| over all subsequence counts.
 
     Requires m <= n_total / 10 so the independent-sample comparison is in
     its domain of validity.  The gap shrinks like 1/n_total for fixed
-    (m, p).
+    (m, p).  A caller that has built ``hypergeometric_pmf`` for this
+    composition passes it as ``hypergeometric``, and it is not built again.
     """
     if m > n_total / 10:
         raise ValueError("convergence_gap needs m <= n_total / 10")
-    k = EnsembleParams(n_total, p, m, 0).n_plus
-    pairs = zip(hypergeometric_pmf(n_total, k, m), binomial_pmf(m, float(p)))
+    if hypergeometric is None:
+        hypergeometric = hypergeometric_pmf(n_total, EnsembleParams(n_total, p, m, 0).n_plus, m)
+    pairs = zip(hypergeometric, binomial_pmf(m, float(p)))
     return max(abs(h - b) for h, b in pairs)

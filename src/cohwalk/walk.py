@@ -225,7 +225,7 @@ def advance(amp, table, norm):
     """Advance an amplitude array one time step; return it and its norm.
 
     Axis 0 of ``amp`` runs over edge states; further axes ride along
-    (the joint oracle keeps its marker register there).  ``norm`` is
+    (the joint oracle keeps its marker configurations there).  ``norm`` is
     ``state_norm(amp)``: a walk passes on the norm each step returns,
     so every step computes one norm, of its output.  Raises
     ``BoundaryError`` if any amplitude would have to leave the truncated

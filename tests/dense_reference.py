@@ -1,12 +1,18 @@
-"""Dense N x N reference for the coherence budget.
+"""Dense references for the coherence budget and the joint oracle.
 
 ``cohwalk.decoherence`` keeps the overlaps G and rho_int as O(N) records
 and reads only sums off them.  This module builds the matrices those
 records stand for and takes the same sums entry by entry, so tests can
 compare the two routes.  Costs O(N^2) time and memory.
+
+``full_tensor_oracle`` is the joint particle (x) marker simulation over
+the whole 2^N marker register, which ``decoherence.full_tensor_oracle``
+replaces by the marker configurations the walk reaches.
 """
 
 import numpy as np
+
+from cohwalk.walk import WalkGraph, advance, state_norm, transition_table
 
 
 def overlap_matrix(spec):
@@ -47,3 +53,39 @@ def off_diagonal_mass(matrix):
     """sum_{j!=k} |matrix[j][k]|: the l1 coherence of a density matrix."""
     mags = np.abs(matrix)
     return float(mags.sum() - np.trace(mags))
+
+
+def _qubit_rotation(alpha, beta):
+    # unitary completion of |0> -> alpha|0> + beta|1>
+    return np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
+
+
+def full_tensor_oracle(pattern, spec):
+    """Exit probability from the joint state over the full 2^N marker register.
+
+    Marker j is axis j of the register reshaped to (2,) * N.  Each step
+    advances the occupied columns, then rotates marker j in every row
+    that path j's transit reached, by a tensor contraction over the
+    whole register.
+    """
+    n = pattern.n_paths
+    graph = WalkGraph(n)
+    table = transition_table(graph, pattern)
+    rotations = [_qubit_rotation(a, b) for a, b in zip(spec.alphas, spec.betas)]
+
+    state = np.zeros((graph.n_states, 2**n), dtype=complex)
+    state[table.a_in[0], 0] = 1.0  # |0,A>, markers all |0>
+
+    for _ in range(3):
+        occupied = np.flatnonzero(state.any(axis=0))
+        columns = state[:, occupied]
+        transits = columns[table.path_src].any(axis=-1)
+        state[:, occupied], _ = advance(columns, table, state_norm(columns))
+        for side, j in zip(*np.nonzero(transits)):
+            row = table.path_dst[side, j]
+            reg = state[row].reshape((2,) * n)
+            reg = np.moveaxis(np.tensordot(rotations[j], reg, axes=([1], [j])), 0, j)
+            state[row] = reg.reshape(-1)
+
+    exit_row = state[table.b_out[0]]  # |B,N+1>
+    return float(np.sum(np.abs(exit_row) ** 2))

@@ -185,6 +185,20 @@ class TestEnsembleCommand:
         assert all(float(cell(table, "gap", r)) <= 1e-12 for r in range(3))
 
 
+    def test_each_law_built_once(self, capsys, monkeypatch):
+        # convergence_gap and mass_sum share one hypergeometric law per N
+        calls, build = [], cohwalk.ensemble.hypergeometric_pmf
+
+        def counting_build(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cohwalk.ensemble, "hypergeometric_pmf", counting_build)
+        code, _ = run_cli(capsys, ["ensemble", "--n-list", "100,1000,10000", "--m", "10"])
+        assert code == 0
+        assert calls == [(100, 50, 10), (1000, 500, 10), (10000, 5000, 10)]
+
+
 class TestLargeCountLaws:
     """Count laws at large N, and exact tails of more than 10^4 binomial terms."""
 

@@ -2,13 +2,19 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cohwalk
 import dense_reference
+from cohwalk import decoherence
 from cohwalk.decoherence import (
     AncillaSpec,
     Overlaps,
@@ -134,6 +140,35 @@ class TestOverlaps:
     def test_rejects_unnormalized_qubits(self):
         with pytest.raises(ValueError):
             AncillaSpec.per_path([1.0, 0.5], [0.0, 0.5])
+
+
+class TestAncillaSpec:
+    def test_amplitudes_are_read_only_complex_arrays(self):
+        spec = AncillaSpec.per_path([1.0, 0.6], [0.0, 0.8])
+        for amps in (spec.alphas, spec.betas):
+            assert amps.dtype == complex and amps.shape == (2,)
+            with pytest.raises(ValueError):
+                amps[0] = 0.5
+        assert spec.n_paths == 2
+
+    def test_last_of_many_unnormalized_entries_rejected(self):
+        n = 2048
+        theta = np.random.default_rng(41).uniform(0, math.pi / 2, n)
+        alphas, betas = np.cos(theta), np.sin(theta)
+        AncillaSpec.per_path(alphas, betas)
+        alphas[-1], betas[-1] = 1.0, 1e-5  # |alpha|^2 + |beta|^2 = 1 + 1e-10
+        with pytest.raises(ValueError, match="normalized"):
+            AncillaSpec.per_path(alphas, betas)
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            AncillaSpec.per_path([1.0, math.nan], [0.0, 0.0])
+
+    @pytest.mark.parametrize("alphas, betas", [
+        ([1.0, 1.0], [0.0]), ([1.0], [0.0, 0.0]), ([[1.0]], [[0.0]]), (1.0, 0.0)])
+    def test_unequal_or_not_flat_shapes_rejected(self, alphas, betas):
+        with pytest.raises(ValueError, match="equal length"):
+            AncillaSpec.per_path(alphas, betas)
 
 
 class TestRhoInt:
@@ -394,6 +429,82 @@ class TestTensorOracle:
             p_oracle = full_tensor_oracle(pattern, spec)
             p_formula = exit_probability(pattern, overlaps(spec))
             assert p_oracle == pytest.approx(p_formula, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_dense_register_on_uniform_markers(self, n):
+        patterns = [PhasePattern.constant(n)]
+        if n % 2 == 0:
+            patterns.append(PhasePattern.balanced(n))
+        if n >= 3:  # one more +1 sign than a balanced half
+            patterns.append(PhasePattern.epsilon_biased(n, (2 * (n // 2 + 1) - n) / n))
+        for pattern in patterns:
+            for nu in (0.0, 0.3, 0.5, 0.7, 1.0):
+                spec = AncillaSpec.uniform(nu, n)
+                assert full_tensor_oracle(pattern, spec) == dense_reference.full_tensor_oracle(
+                    pattern, spec)
+
+    def test_matches_dense_register_on_random_markers(self):
+        rng = np.random.default_rng(67)
+        for _ in range(100):
+            n = int(rng.integers(2, 11))
+            pattern, spec = random_pattern(rng, n), random_spec(rng, n)
+            assert full_tensor_oracle(pattern, spec) == pytest.approx(
+                dense_reference.full_tensor_oracle(pattern, spec), abs=1e-15)
+
+    def test_rotations_match_dense_register(self):
+        # the three-step walk rotates each marker once, from the all-|0> config;
+        # here rows hold many configs, some pairs share a config and some
+        # reach the same new one, as a longer walk would
+        rng = np.random.default_rng(71)
+        n, n_rows = 5, 6
+        for _ in range(50):
+            configs = np.concatenate(([0], rng.choice(np.arange(1, 2**n), 7, replace=False)))
+            column_of = np.full(2**n, -1)
+            column_of[configs] = np.arange(len(configs))
+            state = rng.normal(size=(n_rows, len(configs))) + 1j * rng.normal(
+                size=(n_rows, len(configs)))
+            state[rng.random(state.shape) < 0.4] = 0
+            rows = rng.choice(n_rows, 4, replace=False)
+            paths = rng.integers(0, n, 4)
+            spec = random_spec(rng, n)
+            dense = np.zeros((n_rows, 2**n), dtype=complex)
+            dense[:, configs] = state
+            for row, j in zip(rows, paths):
+                rotation = dense_reference._qubit_rotation(spec.alphas[j], spec.betas[j])
+                reg = np.tensordot(rotation, dense[row].reshape((2,) * n), axes=([1], [j]))
+                dense[row] = np.moveaxis(reg, 0, j).reshape(-1)
+            rotations = np.array([dense_reference._qubit_rotation(spec.alphas[j], spec.betas[j])
+                                  for j in paths])
+            new, new_configs = decoherence._rotate_markers(
+                state, configs, column_of, rows, rotations, 1 << (n - 1 - paths))
+            assert len(set(new_configs.tolist())) == len(new_configs)
+            assert np.array_equal(column_of[new_configs], np.arange(len(new_configs)))
+            sparse = np.zeros_like(dense)
+            sparse[:, new_configs] = new
+            assert np.allclose(sparse, dense, rtol=0, atol=1e-15)
+            assert not dense[:, column_of < 0].any()  # no amplitude outside a column
+
+    def test_non_unitary_rotation_fails_the_norm_check(self):
+        # a spec that skipped normalization: |alpha|^2 + |beta|^2 = 1.17
+        spec = types.SimpleNamespace(n_paths=4, alphas=np.full(4, 0.9 + 0j),
+                                     betas=np.full(4, 0.6 + 0j))
+        with pytest.raises(AssertionError, match="norm"):
+            full_tensor_oracle(PhasePattern.constant(4), spec)
+
+    def test_fresh_cli_run_does_not_import_numpy_ma(self):
+        # numpy's set routines import numpy.ma on first use, ~20 ms per process
+        src = os.path.dirname(os.path.dirname(cohwalk.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys\n"
+                "from cohwalk.cli import main\n"
+                "assert main(['walk', '--n', '12', '--promise', 'balanced', '--nu', '0.5',"
+                " '--exact-oracle']) == 0\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "oracle_ok" in result.stdout
 
     def test_rejects_large_registers(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Epsilon-variant tests: miss probability, Chernoff bounds, exact tails."""
 
 import math
+import time
 from fractions import Fraction
 from math import comb
 
@@ -227,6 +228,17 @@ class TestExactTails:
         # a hypergeometric call stacks the counts j, m - j and one normalizer
         counts = calls[0] if n is None else (calls[0] - 1) // 2
         assert counts <= min(2 * (2 * math.sqrt(373 * m) + 1), m + 1)
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 1000, 10**6])
+    def test_certain_bias_costs_one_count(self, m):
+        # at eps = 1 the biased law is a point mass at m, outside its tail 0..k_min-1;
+        # over all of 0..k_min-1 this took ~0.2 s at m = 10^6
+        start = time.perf_counter()
+        tails = exact_tail_probabilities(m, 1.0)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05
+        assert tails.false_eps == math.fsum(binomial_pmf(m, 0.5)[detection_count_threshold(m, 1.0):])
+        assert tails.false_bal == 0.0
 
     def test_tails_off_support_are_zero(self):
         # the whole sequence is sampled, so each count is certain
