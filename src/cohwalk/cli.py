@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from . import decision, ensemble, epsilon as eps_mod, montecarlo
-from .decoherence import AncillaSpec, detection_probability, full_tensor_oracle
+from .decoherence import (
+    ORACLE_MAX_PATHS, AncillaSpec, detection_probability, full_tensor_oracle)
 from .walk import PhasePattern, exit_amplitude, exit_probability_ideal
 
 Z_LIMIT = 4.0
@@ -355,7 +356,8 @@ def build_parser():
     p_walk.add_argument("--epsilon", type=float)
     p_walk.add_argument("--nu", type=float, default=1.0)
     p_walk.add_argument("--exact-oracle", action="store_true",
-                        help="cross-check against the joint marker simulation (N <= 12)")
+                        help="cross-check against the joint marker simulation "
+                             f"(N <= {ORACLE_MAX_PATHS})")
     p_walk.set_defaults(func=cmd_walk)
 
     p_decide = sub.add_parser("decide", parents=[common], allow_abbrev=False,

@@ -19,9 +19,10 @@ forms.  G is rank one plus a diagonal, so ``overlaps`` returns it as an
 O(N) ``Overlaps`` record and ``rho_int`` returns a ``RhoInt`` record;
 every quantity here is a sum read off those records in O(N) time and
 memory, and no N x N matrix is built.  The oracle stores the joint state
-only over the marker configurations that hold amplitude: each path
-rotates its marker once, so the three-step walk reaches N + 1 of the
-2^N configurations.
+only over the marker configurations that hold amplitude: each path's
+transit takes its marker out of |0> once, so the three-step walk
+reaches N + 1 of the 2^N configurations, and the oracle runs up to
+N = ORACLE_MAX_PATHS = 512.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .walk import WalkGraph, advance, transition_table
 
 BOUND_TOL = 1e-12
-ORACLE_MAX_PATHS = 12
+ORACLE_MAX_PATHS = 512
 
 
 class AncillaSpec:
@@ -205,46 +206,50 @@ def detection_probability(promise, nu, epsilon=None, n_paths=None):
     raise ValueError(f"unknown promise {promise!r}")
 
 
-def _rotate_markers(state, configs, column_of, rows, rotations, bits):
-    """Apply ``rotations[i]`` to marker bit ``bits[i]`` in row ``rows[i]``, for all i at once.
+def _mark(state, configs, column, rows, paths, spec):
+    """Map marker ``paths[i]`` from |0> to alpha|0> + beta|1> in row ``rows[i]``, for all i.
 
-    ``state`` has a column per marker configuration, column k holding the
-    bitmask ``configs[k]`` and ``column_of`` the inverse lookup; the rows
-    must differ.  Returns the state and configs with a column appended for
-    each configuration first reached, and updates ``column_of`` in place.
+    Column k of ``state`` holds the marker bitmask ``configs[k]``, a Python
+    int with marker j at bit N-1-j, and the dict ``column`` maps each
+    bitmask back to k; the rows must differ.  Appends each configuration
+    first reached to ``configs`` and ``column`` and returns the state with
+    a column for it.  Raises ``AssertionError`` if a row holds amplitude
+    on a configuration whose marker is already flipped: a marker leaves
+    |0> once, and the three-step walk never transits a path twice.
     """
-    # each held entry of a row gives the (lo, hi) pair of configs that differ
-    # in the row's bit.  When lo and hi are both held the pair comes twice,
-    # and both copies read before either writes, so they write the same values.
-    t, col = np.nonzero(state[rows])
-    c, bit = configs[col], bits[t]
-    lo, hi = c & ~bit, c | bit
-    # a column per config first reached, once even if two pairs reach it: of
-    # a repeated bitmask's positions one write to column_of survives, and only
-    # that position is kept (no np.unique, whose first call imports numpy.ma)
-    fresh = np.concatenate((lo, hi))
-    fresh = fresh[column_of[fresh] < 0]
-    column_of[fresh] = np.arange(len(fresh))
-    fresh = fresh[column_of[fresh] == np.arange(len(fresh))]
-    column_of[fresh] = len(configs) + np.arange(len(fresh))
-    configs = np.concatenate((configs, fresh))
-    state = np.concatenate((state, np.zeros((len(state), len(fresh)), complex)), axis=1)
-    r, cols = rows[t][:, None], column_of[np.stack((lo, hi), axis=-1)]
-    state[r, cols] = (rotations[t] @ state[r, cols][..., None])[..., 0]
-    return state, configs
+    n = spec.n_paths
+    t, held = np.nonzero(state[rows])
+    flipped = []
+    for i, k in zip(t.tolist(), held.tolist()):
+        bit = 1 << (n - 1 - int(paths[i]))
+        if configs[k] & bit:
+            raise AssertionError(f"marker {paths[i]} transited twice")
+        config = configs[k] | bit
+        if config not in column:
+            column[config] = len(configs)
+            configs.append(config)
+        flipped.append(column[config])
+    if len(configs) > state.shape[1]:
+        state = np.concatenate(
+            (state, np.zeros((len(state), len(configs) - state.shape[1]), complex)), axis=1)
+    r, path = rows[t], paths[t]
+    amp = state[r, held]
+    state[r, held] = spec.alphas[path] * amp
+    state[r, flipped] = spec.betas[path] * amp
+    return state
 
 
 def full_tensor_oracle(pattern, spec):
     """Exit probability from the explicit particle (x) marker simulation.
 
     Evolves the joint state over edge states and marker configurations
-    for three steps, applying the qubit rotation of path j on every
-    transit of vertex j, then sums |amplitude|^2 on the exit edge over
-    all marker configurations.  Exact partial trace, no formulas.  Only
-    the configurations that the rotations reach get a column, N + 1 of
-    the 2^N in the three-step walk; the others hold exactly 0.  Limited
-    to N <= 12, which keeps the length-2^N lookup from configuration to
-    column small.
+    for three steps, mapping marker j from |0> to alpha_j|0> + beta_j|1>
+    on every transit of vertex j, then sums |amplitude|^2 on the exit
+    edge over all marker configurations.  Exact partial trace, no
+    formulas.  Only the configurations that hold amplitude get a column,
+    N + 1 of the 2^N in the three-step walk.  Limited to
+    N <= ORACLE_MAX_PATHS = 512, where the 4(N + 4) edge states by N + 1
+    columns and a step's temporaries peak at ~61 MiB.
     """
     n = pattern.n_paths
     if spec.n_paths != n:
@@ -254,15 +259,7 @@ def full_tensor_oracle(pattern, spec):
 
     graph = WalkGraph(n)
     table = transition_table(graph, pattern)
-    # path j's unitary completion of |0> -> alpha_j|0> + beta_j|1>
-    a, b = spec.alphas, spec.betas
-    rotations = np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n, 2, 2)
-    bits = 1 << np.arange(n - 1, -1, -1)  # marker j is bit N-1-j, as in a (2,)*N register
-
-    # column i holds the marker bitmask configs[i]; column_of inverts configs
-    configs = np.zeros(1, dtype=np.int64)
-    column_of = np.full(2**n, -1)
-    column_of[0] = 0
+    configs, column = [0], {0: 0}  # column i holds the marker bitmask configs[i]
     state = np.zeros((graph.n_states, 1), dtype=complex)
     state[table.a_in[0], 0] = 1.0  # |0,A>, markers all |0>
     norm = 1.0
@@ -271,9 +268,7 @@ def full_tensor_oracle(pattern, spec):
         transits = state[table.path_src].any(axis=-1)
         state, norm = advance(state, table, norm)
         side, path = np.nonzero(transits)
-        state, configs = _rotate_markers(state, configs, column_of, table.path_dst[side, path],
-                                         rotations[path], bits[path])
+        state = _mark(state, configs, column, table.path_dst[side, path], path, spec)
 
-    exit_row = np.zeros(2**n, dtype=complex)
-    exit_row[configs] = state[table.b_out[0]]  # |B,N+1>, in register order
-    return float(np.sum(np.abs(exit_row) ** 2))
+    # correctly rounded, so the sum does not depend on the column order
+    return math.fsum((np.abs(state[table.b_out[0]]) ** 2).tolist())  # |B,N+1>

@@ -191,10 +191,7 @@ def hypergeometric_pmf(n, k, m):
 
 
 def binomial_prob(m, m_plus, p):
-    """Independent-sample probability C(m, m_plus) p^m_plus (1-p)^(m-m_plus).
-
-    Stays exact when ``p`` is a ``fractions.Fraction``.
-    """
+    """Independent-sample probability C(m, m_plus) p^m_plus (1-p)^(m-m_plus)."""
     return _binomial_terms(m, p, m_plus, m_plus)[0]
 
 
@@ -202,12 +199,9 @@ def _binomial_stack(m, laws):
     """``binomial_prob`` over the window of each law (p, a, b), as one list of
     every law's terms in turn, and the counts of each: one kernel call.  A
     certain law (p = 0 or 1) is a point mass, so its window is its one count,
-    with term 1.0, and stays out of the kernel.  If a law has ``Fraction`` p,
-    every law takes ``_binomial_terms`` over all of a..b instead.
+    with term 1.0, and stays out of the kernel.  Each p is taken as a float.
     """
-    if any(isinstance(p, Fraction) for p, _, _ in laws):
-        terms = [t for p, a, b in laws for t in _binomial_terms(m, p, a, b)]
-        return terms, [np.arange(a, b + 1) for _, a, b in laws]
+    laws = [(float(p), a, b) for p, a, b in laws]
     windows = [_window(m if 0 < p < 1 else 0, m * p, a, b, 0, m) for p, a, b in laws]
     p = np.repeat([p for p, _, _ in laws], [len(w) for w in windows])
     x, terms = np.concatenate(windows), np.ones(len(p))
@@ -219,17 +213,12 @@ def _binomial_stack(m, laws):
 
 def _binomial_terms(m, p, a, b):
     """``binomial_prob`` for the counts j = a..b, as a list (0.0 outside 0..m)."""
-    if isinstance(p, Fraction):
-        return [math.comb(m, j) * p**j * (1 - p) ** (m - j) if 0 <= j <= m else 0.0
-                for j in range(a, b + 1)]
     return _padded(a, b, *_binomial_stack(m, [(p, a, b)]))
 
 
 def binomial_pmf(m, p):
-    """``binomial_prob`` for every count 0..m, as a list.
-
-    ``Fraction`` p keeps exact entries; the certain cases p = 0 and p = 1
-    are a point mass.
+    """``binomial_prob`` for every count 0..m, as a list; the certain cases
+    p = 0 and p = 1 are a point mass.
     """
     return _binomial_terms(m, p, 0, m)
 

@@ -10,6 +10,8 @@ the whole 2^N marker register, which ``decoherence.full_tensor_oracle``
 replaces by the marker configurations the walk reaches.
 """
 
+import math
+
 import numpy as np
 
 from cohwalk.walk import WalkGraph, advance, state_norm, transition_table
@@ -66,7 +68,8 @@ def full_tensor_oracle(pattern, spec):
     Marker j is axis j of the register reshaped to (2,) * N.  Each step
     advances the occupied columns, then rotates marker j in every row
     that path j's transit reached, by a tensor contraction over the
-    whole register.
+    whole register.  The exit row is summed correctly rounded, so the
+    sum does not depend on the order of its terms.
     """
     n = pattern.n_paths
     graph = WalkGraph(n)
@@ -88,4 +91,4 @@ def full_tensor_oracle(pattern, spec):
             state[row] = reg.reshape(-1)
 
     exit_row = state[table.b_out[0]]  # |B,N+1>
-    return float(np.sum(np.abs(exit_row) ** 2))
+    return math.fsum((np.abs(exit_row) ** 2).tolist())

