@@ -190,7 +190,7 @@ def cmd_walk(args):
             args.n, args.promise, args.epsilon, args.nu, p_analytic,
             p_statevector, ideal_ok, p_oracle, oracle_ok, coherence_x,
         ]],
-        metadata=_metadata(args, "walk", ["n", "promise", "epsilon", "nu", "exact_oracle"]),
+        metadata=_metadata(args),
     )
     return table
 
@@ -217,7 +217,7 @@ def cmd_decide(args):
     return OutputTable(
         columns=["m", "nu", "classical_error", "quantum_error", "nu_threshold", "bayes_ok"],
         rows=rows,
-        metadata=_metadata(args, "decide", ["m_range", "nu_range", "mode", "n"]),
+        metadata=_metadata(args),
     )
 
 
@@ -247,7 +247,7 @@ def cmd_epsilon(args):
             "exact_false_eps", "exact_false_bal", "dominance_ok",
         ],
         rows=rows,
-        metadata=_metadata(args, "epsilon", ["epsilon", "m_range", "nu", "exact_tails"]),
+        metadata=_metadata(args),
     )
 
 
@@ -275,7 +275,7 @@ def cmd_ensemble(args):
             "decreasing_ok", "mass_sum", "normalization_ok",
         ],
         rows=rows,
-        metadata=_metadata(args, "ensemble", ["n_list", "p", "m"]),
+        metadata=_metadata(args),
     )
 
 
@@ -313,17 +313,15 @@ def cmd_mc(args):
             result.empirical_error, result.std_error, result.analytic_error,
             result.z_score, z_ok,
         ]],
-        metadata=_metadata(args, "mc", [
-            "strategy", "m", "nu", "epsilon", "experiments", "seed",
-            "sampling", "likelihood", "n", "truth",
-        ]),
+        metadata=_metadata(args),
     )
 
 
-def _metadata(args, command, keys):
-    meta = {"command": command}
-    for key in keys:
-        meta[key] = getattr(args, key.replace("-", "_"))
+def _metadata(args):
+    """The subcommand and its flags in the order its parser defines them, which
+    is the namespace's order, then the output format and the version."""
+    meta = {key: value for key, value in vars(args).items()
+            if key not in ("format", "output", "strict", "func")}
     meta["format"] = args.format
     meta["version"] = __version__
     return meta

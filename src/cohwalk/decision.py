@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .decoherence import detection_probability
 from .ensemble import EnsembleParams, hypergeometric_prob, hypergeometric_prob_exact
+from .walk import plus_count
 
 
 def _all_same_given_balanced(m, n_paths=None, exact=False):
@@ -31,12 +32,11 @@ def _all_same_given_balanced(m, n_paths=None, exact=False):
     twice the count law's term at m: a float, O(m), or if ``exact`` a rational, ~O(m^2)."""
     if n_paths is None:
         return 2 * Fraction(1, 2**m)
-    if n_paths % 2 != 0:
-        raise ValueError("balanced patterns need an even number of paths")
+    half = Fraction(plus_count("balanced", n_paths), n_paths)
     if m > n_paths:
         raise ValueError("cannot sample more shifters than paths")
     law = hypergeometric_prob_exact if exact else hypergeometric_prob
-    return 2 * law(EnsembleParams(n_paths, Fraction(1, 2), m, m))
+    return 2 * law(EnsembleParams(n_paths, half, m, m))
 
 
 def classical_error(m, n_paths=None):

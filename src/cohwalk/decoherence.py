@@ -10,6 +10,7 @@ pairwise environment overlaps
 
 with G[j][j] = 1.  The important special case is a common real overlap
 ``nu``: nu = 1 is full coherence, nu = 0 removes all interference.
+``AncillaSpec.uniform`` alone builds it, with ``nu`` set for the exact sums.
 
 This module computes the overlaps, the internal-path density matrix,
 the l1 coherence of that matrix, the normalized overlap sum X, the exit
@@ -42,14 +43,14 @@ class AncillaSpec:
 
     Use ``AncillaSpec.uniform(nu, n_paths)`` for the common-overlap case
     (every qubit rotated the same way, pairwise overlap exactly ``nu``)
-    or ``AncillaSpec.per_path(alphas, betas)`` for arbitrary qubits.
+    or ``AncillaSpec(alphas, betas)`` for arbitrary qubits; only ``uniform`` sets ``nu``.
     ``alphas`` and ``betas`` are stored as read-only 1-D complex arrays.
     """
 
-    def __init__(self, alphas, betas, nu=None):
+    def __init__(self, alphas, betas):
         self.alphas = np.array(alphas, dtype=complex)
         self.betas = np.array(betas, dtype=complex)
-        self.nu = nu
+        self.nu = None
         if self.alphas.ndim != 1 or self.alphas.shape != self.betas.shape:
             raise ValueError("alphas and betas must be 1-D and of equal length")
         deviation = np.abs(np.abs(self.alphas) ** 2 + np.abs(self.betas) ** 2 - 1.0)
@@ -65,9 +66,9 @@ class AncillaSpec:
     def uniform(cls, nu, n_paths):
         if not 0 <= nu <= 1:
             raise ValueError("nu must lie in [0, 1]")
-        a = math.sqrt(nu)
-        b = math.sqrt(1.0 - nu)
-        return cls(np.full(n_paths, a), np.full(n_paths, b), nu=nu)
+        spec = cls(np.full(n_paths, math.sqrt(nu)), np.full(n_paths, math.sqrt(1.0 - nu)))
+        spec.nu = nu
+        return spec
 
     @classmethod
     def per_path(cls, alphas, betas):

@@ -199,15 +199,12 @@ def _binomial_stack(m, laws):
     """``binomial_prob`` over the window of each law (p, a, b), as one list of
     every law's terms in turn, and the counts of each: one kernel call.  A
     certain law (p = 0 or 1) is a point mass, so its window is its one count,
-    with term 1.0, and stays out of the kernel.  Each p is taken as a float.
+    where the kernel gives exactly 1.0.  Each p is taken as a float.
     """
     laws = [(float(p), a, b) for p, a, b in laws]
     windows = [_window(m if 0 < p < 1 else 0, m * p, a, b, 0, m) for p, a, b in laws]
     p = np.repeat([p for p, _, _ in laws], [len(w) for w in windows])
-    x, terms = np.concatenate(windows), np.ones(len(p))
-    uncertain = (0 < p) & (p < 1)
-    p = p[uncertain]
-    terms[uncertain] = np.exp(_log_binomial(x[uncertain], np.float64([m]), p, 1 - p))
+    terms = np.exp(_log_binomial(np.concatenate(windows), np.float64([m]), p, 1 - p))
     return terms.tolist(), windows
 
 

@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .decision import no_exit_likelihoods
 from .decoherence import detection_probability
 from .ensemble import _binomial_stack, _hypergeometric_stack
+from .walk import plus_count
 
 TIE_TOL = 1e-9
 
@@ -141,12 +142,8 @@ def exact_tail_probabilities(m, epsilon, n_paths=None):
         n = n_paths
         if m > n:
             raise ValueError("cannot sample more shifters than paths")
-        if n % 2 != 0:
-            raise ValueError("balanced composition needs an even number of paths")
-        k_biased = (1 + epsilon) * n / 2
-        if abs(k_biased - round(k_biased)) > 1e-9:
-            raise ValueError(f"(1+epsilon)*N/2 = {k_biased} is not an integer")
-        laws = [(n // 2, k_min, m), (round(k_biased), 0, k_min - 1)]
+        laws = [(plus_count("balanced", n), k_min, m),
+                (plus_count("epsilon", n, epsilon), 0, k_min - 1)]
         tails, windows = _hypergeometric_stack(n, m, laws)
     s = len(windows[0])
     return TailProbabilities(math.fsum(tails[:s]), math.fsum(tails[s:][::-1]))

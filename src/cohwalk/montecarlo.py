@@ -37,6 +37,7 @@ import numpy as np
 from . import decision, epsilon as eps_mod
 from .decoherence import detection_probability
 from .ensemble import binomial_pmf, hypergeometric_pmf
+from .walk import plus_count
 
 # strategy -> (first, second hypothesis), and the counts t, given (m, epsilon), at
 # which its guess changes between t - 1 and t; below count 0 it guesses the second
@@ -83,22 +84,23 @@ class TrialConfig:
             raise ValueError("likelihood must be 'idealized' or 'exact-n'")
         if self.sampling not in ("iid", "hypergeom"):
             raise ValueError("sampling must be 'iid' or 'hypergeom'")
-        if self.truth not in ("prior", "constant", "balanced", "epsilon"):
-            raise ValueError("bad truth tag")
         if self.strategy.endswith("-eps") and self.epsilon is None:
             raise ValueError("epsilon strategies need an epsilon value")
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.truth == "epsilon" and not self.strategy.endswith("-eps"):
-            raise ValueError("epsilon truth only applies to the epsilon strategies")
-        if self.truth == "constant" and self.strategy.endswith("-eps"):
-            raise ValueError("constant truth only applies to the DJ strategies")
+        hypotheses = _RULES[self.strategy][0]
+        if self.truth not in ("prior", *hypotheses):
+            raise ValueError({
+                "constant": "constant truth only applies to the DJ strategies",
+                "epsilon": "epsilon truth only applies to the epsilon strategies",
+            }.get(self.truth, "bad truth tag"))
         if self.sampling == "hypergeom" and self.m > self.n_paths:
             raise ValueError("cannot sample more shifters than paths")
-        if self.strategy.endswith("-eps") and self.sampling == "hypergeom":
-            k = (1 + self.epsilon) * self.n_paths / 2
-            if abs(k - round(k)) > 1e-9:
-                raise ValueError(f"(1+epsilon)*N/2 = {k} is not an integer")
+        # the finite-N exit laws and draws without replacement read each pattern's N
+        if (self.likelihood == "exact-n" if self.strategy.startswith("quantum")
+                else self.sampling == "hypergeom"):
+            for hypothesis in (h for h in hypotheses if h != "constant"):
+                plus_count(hypothesis, self.n_paths, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -146,15 +148,12 @@ def _count_pmf(config, hypothesis):
         p = float(detection_probability(
             hypothesis, config.nu, epsilon=config.epsilon, n_paths=n_paths))
         return binomial_pmf(m, p)
+    if config.sampling == "hypergeom":
+        k_plus = n if hypothesis == "constant" else plus_count(hypothesis, n, config.epsilon)
+        return hypergeometric_pmf(n, k_plus, m)
     if hypothesis == "constant":
-        p_plus, k_plus = 1.0, n
-    elif hypothesis == "balanced":
-        p_plus, k_plus = 0.5, n // 2
-    else:
-        p_plus, k_plus = (1 + config.epsilon) / 2, round((1 + config.epsilon) * n / 2)
-    if config.sampling == "iid":
-        return binomial_pmf(m, p_plus)
-    return hypergeometric_pmf(n, k_plus, m)
+        return binomial_pmf(m, 1.0)
+    return binomial_pmf(m, 0.5 if hypothesis == "balanced" else (1 + config.epsilon) / 2)
 
 
 def _error_regions(config):

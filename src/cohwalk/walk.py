@@ -2,12 +2,14 @@
 
 The graph has two Fourier vertices A and B joined by N parallel paths.
 Path j carries a phase shifter that multiplies transmitted amplitude by
-a sign s_j in {+1, -1}.  A finite chain of pass-through vertices hangs
-off each Fourier vertex: the entry tail 0, -1, -2, ... on the A side and
-the exit tail N+1, N+2, ... on the B side.  Each tail holds
-``TAIL_DEPTH`` = 4 edges: in the paper's three steps the particle goes
-no further than three edges from a Fourier vertex, so the fourth edge
-of a tail is never reached.
+a sign s_j in {+1, -1}; ``PhasePattern`` holds the signs under their
+promise, and ``plus_count`` is the one check that a balanced or biased
+composition exists for N (and epsilon).  A finite chain of pass-through
+vertices hangs off each Fourier vertex: the entry tail 0, -1, -2, ...
+on the A side and the exit tail N+1, N+2, ... on the B side.  Each tail
+holds ``TAIL_DEPTH`` = 4 edges: in the paper's three steps the particle
+goes no further than three edges from a Fourier vertex, so the fourth
+edge of a tail is never reached.
 
 The particle lives on *directed edge states* |u,v>: "on the edge {u,v},
 moving toward v".  |u,v> and |v,u> are distinct orthogonal states.  One
@@ -45,6 +47,20 @@ class BoundaryError(RuntimeError):
     """Amplitude reached the truncation boundary: the walk ran past three steps."""
 
 
+def plus_count(promise, n_paths, epsilon=None):
+    """The +1 count of a ``"balanced"`` or ``"epsilon"`` pattern of N paths, N/2 or
+    (1+epsilon)*N/2 (to within 1e-9, for a float epsilon).  Raises ``ValueError``
+    if N or epsilon allows no such pattern; every module checks compositions here."""
+    if promise == "balanced":
+        if n_paths % 2 != 0:
+            raise ValueError("balanced patterns need an even number of paths")
+        return n_paths // 2
+    k = (1 + epsilon) * n_paths / 2
+    if abs(k - round(k)) > 1e-9:
+        raise ValueError(f"(1+epsilon)*N/2 = {k} is not an integer")
+    return round(k)
+
+
 @dataclass(frozen=True)
 class PhasePattern:
     """The N phase shifter settings as signs e^{i*phi_j} in {+1, -1}.
@@ -71,23 +87,16 @@ class PhasePattern:
         if plus + minus != n:
             raise ValueError("signs must be +1 or -1")
         object.__setattr__(self, "signs", tuple(map(int, signs)))
-        total = plus - minus
         if self.promise == "constant":
             if plus and minus:
                 raise ValueError("constant promise requires all signs equal")
         elif self.promise == "balanced":
-            if n % 2 != 0:
-                raise ValueError("balanced promise requires an even number of paths")
-            if total != 0:
+            if plus != plus_count("balanced", n):
                 raise ValueError("balanced promise requires exactly half +1 signs")
         elif self.promise == "epsilon":
-            eps = self.epsilon
-            if eps is None or not 0 < eps < 1:
+            if self.epsilon is None or not 0 < self.epsilon < 1:
                 raise ValueError("epsilon promise requires epsilon in (0, 1)")
-            k = (1 + eps) * n / 2
-            if abs(k - round(k)) > 1e-9:
-                raise ValueError(f"(1+epsilon)*N/2 = {k} is not an integer")
-            if total != 2 * round(k) - n:
+            if plus != plus_count("epsilon", n, self.epsilon):
                 raise ValueError("sign sum does not match the promised bias")
         else:
             raise ValueError(f"unknown promise {self.promise!r}")
@@ -109,10 +118,9 @@ class PhasePattern:
     @classmethod
     def epsilon_biased(cls, n_paths, epsilon):
         """Canonical biased pattern with (1+epsilon)*N/2 leading +1 signs."""
-        if not 0 < epsilon < 1:  # round() below raises OverflowError on inf
+        if not 0 < epsilon < 1:  # plus_count would raise OverflowError on inf
             raise ValueError("epsilon promise requires epsilon in (0, 1)")
-        k = (1 + epsilon) * n_paths / 2
-        n_plus = round(k)
+        n_plus = plus_count("epsilon", n_paths, epsilon)
         return cls((1,) * n_plus + (-1,) * (n_paths - n_plus), "epsilon", epsilon)
 
 

@@ -286,6 +286,23 @@ class TestMcCommand:
         assert abs(float(cell(table, "z_score"))) <= 4
         assert cell(table, "z_ok") == "true"
 
+    @pytest.mark.parametrize("n, walk_flags, mc_flags, message", [
+        ("101", ["--promise", "balanced"], ["--strategy", "quantum-dj"],
+         "balanced patterns need an even number of paths"),
+        ("1001", ["--promise", "epsilon", "--epsilon", "0.3"],
+         ["--strategy", "quantum-eps", "--epsilon", "0.3"],
+         "(1+epsilon)*N/2 = 650.65 is not an integer"),
+    ])
+    def test_exact_n_rejects_what_walk_rejects(self, capsys, n, walk_flags, mc_flags, message):
+        # these once printed analytic_error 0.1809 and 0.4607 for patterns that
+        # cannot exist, and exited 0
+        assert main(["walk", "--n", n, *walk_flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        code = main(["mc", *mc_flags, "--likelihood", "exact-n", "--n", n, "--m", "3",
+                     "--nu", "0.3", "--experiments", "1000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
     def test_implicit_seed_is_recorded(self, capsys):
         code, out = run_cli(capsys, ["mc", "--strategy", "classical-dj", "--m", "3",
                                      "--experiments", "1000"])
@@ -551,6 +568,25 @@ class TestOutputContract:
         table = parse_csv_table(first)
         _, second = run_cli(capsys, rebuild_argv(table))
         assert first == second
+
+    # flags given out of order, and --strict, which is not recorded
+    @pytest.mark.parametrize("argv, keys", [
+        (["walk", "--promise", "constant", "--n", "4"],
+         ["n", "promise", "epsilon", "nu", "exact_oracle"]),
+        (["decide", "--nu-range", "0.5", "--m-range", "1"], ["m_range", "nu_range", "mode", "n"]),
+        (["epsilon", "--m-range", "5", "--epsilon", "0.2"],
+         ["epsilon", "m_range", "nu", "exact_tails"]),
+        (["ensemble", "--m", "2", "--n-list", "100"], ["n_list", "p", "m"]),
+        (["mc", "--seed", "1", "--experiments", "10", "--m", "2", "--strategy", "classical-dj"],
+         ["strategy", "m", "nu", "epsilon", "experiments", "seed", "sampling", "likelihood",
+          "n", "truth"]),
+    ])
+    def test_metadata_key_order(self, capsys, argv, keys):
+        want = ["command", *keys, "format", "version"]
+        _, out = run_cli(capsys, argv + ["--strict"])
+        assert list(parse_csv_table(out).metadata) == want
+        _, out = run_cli(capsys, argv + ["--format", "json"])
+        assert list(json.loads(out)["metadata"]) == want
 
     def test_json_carries_same_cells(self, capsys):
         base = ["epsilon", "--epsilon", "0.1", "--m-range", "100"]

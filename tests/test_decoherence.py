@@ -171,6 +171,25 @@ class TestAncillaSpec:
         with pytest.raises(ValueError, match="equal length"):
             AncillaSpec.per_path(alphas, betas)
 
+    def test_only_uniform_sets_nu(self):
+        # a nu keyword once chose the common-overlap route whatever the amplitudes:
+        # AncillaSpec([1] * 4, [0] * 4, nu=0.0) gave exit probability 0.16 and X = 0
+        with pytest.raises(TypeError):
+            AncillaSpec([1.0] * 4, [0.0] * 4, nu=0.0)
+        spec, pattern = AncillaSpec([1.0] * 4, [0.0] * 4), PhasePattern.constant(4)
+        assert spec.nu is None
+        assert exit_probability(pattern, overlaps(spec)) == pytest.approx(0.64, abs=1e-15)
+        assert full_tensor_oracle(pattern, spec) == pytest.approx(0.64, abs=1e-15)
+        assert compute_X(overlaps(spec)) == pytest.approx(0.48, abs=1e-15)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.64, 1.0])
+    def test_uniform_spec_values(self, nu):
+        spec = AncillaSpec.uniform(nu, 5)
+        assert spec.nu is nu
+        assert spec.alphas.tobytes() == np.full(5, math.sqrt(nu), complex).tobytes()
+        assert spec.betas.tobytes() == np.full(5, math.sqrt(1.0 - nu), complex).tobytes()
+        assert compute_X(overlaps(spec)) == nu * 5 * 4 / 36  # the common-overlap form
+
 
 class TestRhoInt:
     def test_fully_coherent_constant_is_flat(self):

@@ -215,7 +215,7 @@ class TestExactTails:
                                            (40, 1.0, None), (2 * 10**4, 0.1, 10**5),
                                            (30, 1.0, 202)])
     def test_one_kernel_call_over_both_windows(self, monkeypatch, m, eps, n):
-        # eps = 1 puts the biased binomial law on its point-mass route, outside the kernel
+        # eps = 1 makes the biased binomial law a point mass at m, outside its tail
         calls, kernel = [], ensemble._log_binomial
 
         def counting_kernel(x, *rest):

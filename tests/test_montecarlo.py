@@ -404,10 +404,23 @@ class TestValidation:
             raise AssertionError("sampled before the closed form was checked")
 
         monkeypatch.setattr(cohwalk.montecarlo, "_uniform_blocks", no_sampling)
-        config = TrialConfig(strategy, m=4, experiments=10**8, seed=1, n_paths=n_paths,
-                             sampling="hypergeom", **kwargs)
         with pytest.raises(ValueError, match="even number of paths"):
-            run_experiment(config)
+            run_experiment(TrialConfig(strategy, m=4, experiments=10**8, seed=1,
+                                       n_paths=n_paths, sampling="hypergeom", **kwargs))
+
+    @pytest.mark.parametrize("strategy, n_paths, kwargs, message", [
+        ("quantum-dj", 101, {}, "^balanced patterns need an even number of paths$"),
+        ("quantum-eps", 105, {"epsilon": 0.2}, "^balanced patterns need an even number"),
+        ("quantum-eps", 1001, {"epsilon": 0.3}, r"^\(1\+epsilon\)\*N/2 = 650\.65 is not"),
+        # the epsilon composition is checked first, in _RULES order
+        ("quantum-eps", 101, {"epsilon": 0.3}, r"^\(1\+epsilon\)\*N/2 = 65\.65 is not"),
+    ])
+    def test_exact_n_needs_each_pattern_to_exist(self, strategy, n_paths, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrialConfig(strategy, m=3, experiments=10, seed=1, n_paths=n_paths, nu=0.3,
+                        likelihood="exact-n", **kwargs)
+        # the idealized laws do not read N
+        TrialConfig(strategy, m=3, experiments=10, seed=1, n_paths=n_paths, nu=0.3, **kwargs)
 
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):

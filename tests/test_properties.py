@@ -65,11 +65,14 @@ def test_binomial_is_a_law(m, p):
 
 
 def _close(value, exact, rtol=1e-12):
-    return value == exact == 0 or abs(value - exact) <= rtol * exact
+    # one ulp of slack for a subnormal exact value, where rtol * exact is less
+    # than one ulp; the same as rtol for every normal number, and none at 0
+    return abs(value - exact) <= (max(rtol * exact, math.ulp(exact)) if exact else 0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(compositions(10**12))
+@example((87577395, 1638, 228))  # j = 79 is 1.9e-312, one subnormal ulp from exact
 def test_hypergeometric_entries_match_exact(composition):
     n, k, m = composition
     pmf = hypergeometric_pmf(n, k, m)
