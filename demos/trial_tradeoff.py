@@ -31,7 +31,7 @@ def main():
           f"{'quantum nu=.5':>14} {'quantum nu=.9':>14} {'nu*':>8}")
     for m in range(1, 11):
         row = [float(quantum_error(m, nu)) for nu in (0.2, 0.5, 0.9)]
-        print(f"{m:3d} {float(classical_error(m)):12.6f} "
+        print(f"{m:3d} {classical_error(m):12.6f} "
               f"{row[0]:14.6f} {row[1]:14.6f} {row[2]:14.6f} "
               f"{coherence_threshold(m):8.4f}")
 

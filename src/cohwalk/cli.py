@@ -48,17 +48,17 @@ class OutputTable:
     rows: list
     metadata: dict
 
+    @classmethod
+    def of(cls, records, metadata):
+        """A table of ``dict(column=value, ...)`` rows, columns in the first row's order."""
+        return cls(list(records[0]), [list(record.values()) for record in records], metadata)
+
     @property
     def checks_pass(self):
         """True iff every populated value in a *_ok column is truthy."""
-        for i, name in enumerate(self.columns):
-            if not name.endswith("_ok"):
-                continue
-            for row in self.rows:
-                value = row[i]
-                if value is not None and value != "" and not value:
-                    return False
-        return True
+        return all(value is None or value == "" or value
+                   for row in self.rows for name, value in zip(self.columns, row)
+                   if name.endswith("_ok"))
 
     def to_csv(self):
         lines = [f"# {key}={_fmt(value)}" for key, value in self.metadata.items()]
@@ -92,16 +92,16 @@ def _fmt(value):
 
 def _check_size(flag, value, limit):
     if value < 1:
-        raise SystemExit(f"{flag} must be at least 1")
+        raise ValueError(f"{flag} must be at least 1")
     if value > limit:
-        raise SystemExit(f"{flag} must be at most {limit}")
+        raise ValueError(f"{flag} must be at most {limit}")
 
 
 def _trials(text, flag):
     """An --m-range list, every value at most MAX_TRIALS."""
     values = _int_list(text, flag)
     if max(values) > MAX_TRIALS:
-        raise SystemExit(f"{flag} values must be at most {MAX_TRIALS}")
+        raise ValueError(f"{flag} values must be at most {MAX_TRIALS}")
     return values
 
 
@@ -159,7 +159,7 @@ def _float_list(text, flag):
 def _require_pattern(args):
     if args.promise == "epsilon":
         if args.epsilon is None:
-            raise SystemExit("--promise epsilon requires --epsilon")
+            raise ValueError("--promise epsilon requires --epsilon")
         return PhasePattern.epsilon_biased(args.n, args.epsilon)
     if args.promise == "balanced":
         return PhasePattern.balanced(args.n)
@@ -181,18 +181,9 @@ def cmd_walk(args):
         oracle_ok = abs(p_oracle - p_analytic) <= 1e-10
     # X = sum_{j!=k} |G[k][j]| / (N+1)^2 with every off-diagonal overlap nu
     coherence_x = args.nu * args.n * (args.n - 1) / (args.n + 1) ** 2
-    table = OutputTable(
-        columns=[
-            "n", "promise", "epsilon", "nu", "p_analytic",
-            "p_statevector_ideal", "ideal_ok", "p_oracle", "oracle_ok", "coherence_x",
-        ],
-        rows=[[
-            args.n, args.promise, args.epsilon, args.nu, p_analytic,
-            p_statevector, ideal_ok, p_oracle, oracle_ok, coherence_x,
-        ]],
-        metadata=_metadata(args),
-    )
-    return table
+    return [dict(n=args.n, promise=args.promise, epsilon=args.epsilon, nu=args.nu,
+                 p_analytic=p_analytic, p_statevector_ideal=p_statevector, ideal_ok=ideal_ok,
+                 p_oracle=p_oracle, oracle_ok=oracle_ok, coherence_x=coherence_x)]
 
 
 def cmd_decide(args):
@@ -204,7 +195,7 @@ def cmd_decide(args):
     for m in ms:
         threshold = decision.coherence_threshold(m)
         # exact-n switches the classical side to without-replacement sampling
-        c_err = float(decision._all_same_given_balanced(m, n_paths)) / 2
+        c_err = decision.classical_error(m, n_paths)
         for nu in nus:
             q_err = float(decision.quantum_error(m, nu, n_paths=n_paths))
             post_c, _ = decision.quantum_posterior_all_zero(m, nu, n_paths=n_paths)
@@ -213,12 +204,9 @@ def cmd_decide(args):
             evidence = (miss_c + miss_b) / 2
             recomposed = float(post_c) * float(evidence) + 0.5 * float(1 - miss_b)
             bayes_ok = abs(recomposed - q_err) <= 1e-12
-            rows.append([m, nu, c_err, q_err, threshold, bayes_ok])
-    return OutputTable(
-        columns=["m", "nu", "classical_error", "quantum_error", "nu_threshold", "bayes_ok"],
-        rows=rows,
-        metadata=_metadata(args),
-    )
+            rows.append(dict(m=m, nu=nu, classical_error=c_err, quantum_error=q_err,
+                             nu_threshold=threshold, bayes_ok=bayes_ok))
+    return rows
 
 
 def cmd_epsilon(args):
@@ -235,20 +223,13 @@ def cmd_epsilon(args):
                 exact_fe <= bounds.chernoff_false_eps + 1e-12
                 and exact_fb <= bounds.chernoff_false_bal + 1e-12
             )
-        rows.append([
-            m, args.epsilon, args.nu, miss.exact, miss.approx,
-            bounds.chernoff_false_eps, bounds.chernoff_false_bal,
-            bounds.approx_false_eps, exact_fe, exact_fb, dominance_ok,
-        ])
-    return OutputTable(
-        columns=[
-            "m", "epsilon", "nu", "quantum_miss", "quantum_miss_approx",
-            "bound_false_eps", "bound_false_bal", "bound_approx",
-            "exact_false_eps", "exact_false_bal", "dominance_ok",
-        ],
-        rows=rows,
-        metadata=_metadata(args),
-    )
+        rows.append(dict(
+            m=m, epsilon=args.epsilon, nu=args.nu, quantum_miss=miss.exact,
+            quantum_miss_approx=miss.approx, bound_false_eps=bounds.chernoff_false_eps,
+            bound_false_bal=bounds.chernoff_false_bal, bound_approx=bounds.approx_false_eps,
+            exact_false_eps=exact_fe, exact_false_bal=exact_fb, dominance_ok=dominance_ok,
+        ))
+    return rows
 
 
 def cmd_ensemble(args):
@@ -258,7 +239,7 @@ def cmd_ensemble(args):
     previous_gap = None
     for n in ns:
         if args.m > n / 10:
-            raise SystemExit(f"--m {args.m} too large for N={n}: need m <= N/10")
+            raise ValueError(f"--m {args.m} too large for N={n}: need m <= N/10")
         k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
         law = ensemble.hypergeometric_pmf(n, k_plus, args.m)
         gap = ensemble.convergence_gap(n, args.p, args.m, hypergeometric=law)
@@ -267,22 +248,17 @@ def cmd_ensemble(args):
             gap < previous_gap or gap <= GAP_NOISE)
         mass = sum(law)
         normalization_ok = abs(mass - 1.0) <= 1e-9
-        rows.append([n, args.p, args.m, k_plus, gap, ratio, decreasing_ok, mass, normalization_ok])
+        rows.append(dict(n_total=n, p=args.p, m=args.m, n_plus=k_plus, gap=gap, gap_ratio=ratio,
+                         decreasing_ok=decreasing_ok, mass_sum=mass,
+                         normalization_ok=normalization_ok))
         previous_gap = gap
-    return OutputTable(
-        columns=[
-            "n_total", "p", "m", "n_plus", "gap", "gap_ratio",
-            "decreasing_ok", "mass_sum", "normalization_ok",
-        ],
-        rows=rows,
-        metadata=_metadata(args),
-    )
+    return rows
 
 
 def cmd_mc(args):
     if args.seed is None:
         if args.strict:
-            raise SystemExit("--strict runs require an explicit --seed")
+            raise ValueError("--strict runs require an explicit --seed")
         args.seed = secrets.randbits(32)
     _check_size("--n", args.n, MAX_PATHS)
     _check_size("--m", args.m, MAX_TRIALS)
@@ -300,21 +276,12 @@ def cmd_mc(args):
         truth=args.truth,
     )
     result = montecarlo.run_experiment(config)
-    z_ok = abs(result.z_score) <= Z_LIMIT
-    return OutputTable(
-        columns=[
-            "strategy", "m", "nu", "epsilon", "n", "experiments", "seed",
-            "sampling", "likelihood", "truth",
-            "empirical_error", "std_error", "analytic_error", "z_score", "z_ok",
-        ],
-        rows=[[
-            args.strategy, args.m, args.nu, args.epsilon, args.n,
-            args.experiments, args.seed, args.sampling, args.likelihood, args.truth,
-            result.empirical_error, result.std_error, result.analytic_error,
-            result.z_score, z_ok,
-        ]],
-        metadata=_metadata(args),
-    )
+    return [dict(strategy=args.strategy, m=args.m, nu=args.nu, epsilon=args.epsilon, n=args.n,
+                 experiments=args.experiments, seed=args.seed, sampling=args.sampling,
+                 likelihood=args.likelihood, truth=args.truth,
+                 empirical_error=result.empirical_error, std_error=result.std_error,
+                 analytic_error=result.analytic_error, z_score=result.z_score,
+                 z_ok=abs(result.z_score) <= Z_LIMIT)]
 
 
 def _metadata(args):
@@ -329,7 +296,7 @@ def _metadata(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 2 with one ``error:`` line, like a bad value
-        raise SystemExit(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @functools.cache  # one parser per process; parse_args keeps no state in it
@@ -399,18 +366,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        table = args.func(args)
-    except ValueError as exc:
+        args = build_parser().parse_args(argv)
+        records = args.func(args)
+    except ValueError as exc:  # --help still leaves through argparse's own exit 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        if not isinstance(exc.code, str):
-            raise
-        print(f"error: {exc.code}", file=sys.stderr)
-        return 2
+    table = OutputTable.of(records, _metadata(args))  # after cmd_mc draws an implicit seed
     text = table.render(args.format)
     if args.output:
         try:

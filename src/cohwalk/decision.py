@@ -12,10 +12,12 @@ Closed forms use the independent-sample model for the shifter readings
 smaller than N) and the large-N detection probabilities nu (constant)
 and 0 (balanced).  Both idealizations can be switched off: pass
 ``n_paths`` to use the exact finite-N detection probabilities, or the
-exact without-replacement sampling law for the classical strategy.
+without-replacement sampling law for the classical strategy.
 
-All closed forms are plain arithmetic, so passing ``fractions.Fraction``
-values for probabilities keeps every result exact.
+The classical error is a float from the count-law kernel (its exact
+rational is ``ensemble.hypergeometric_prob_exact``).  The quantum closed
+forms are plain arithmetic, so passing ``fractions.Fraction`` values for
+probabilities keeps them exact.
 """
 
 from __future__ import annotations
@@ -23,20 +25,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decoherence import detection_probability
-from .ensemble import EnsembleParams, hypergeometric_prob, hypergeometric_prob_exact
+from .ensemble import EnsembleParams, hypergeometric_prob
 from .walk import plus_count
 
 
-def _all_same_given_balanced(m, n_paths=None, exact=False):
-    """P(all m sampled shifters agree | balanced pattern).  With ``n_paths`` it is
-    twice the count law's term at m: a float, O(m), or if ``exact`` a rational, ~O(m^2)."""
+def _all_same_given_balanced(m, n_paths=None):
+    """P(all m sampled shifters agree | balanced pattern): 2^(1-m), or with
+    ``n_paths`` twice the count law's float term at m, O(m)."""
     if n_paths is None:
-        return 2 * Fraction(1, 2**m)
+        return 2.0 ** (1 - m)
     half = Fraction(plus_count("balanced", n_paths), n_paths)
     if m > n_paths:
         raise ValueError("cannot sample more shifters than paths")
-    law = hypergeometric_prob_exact if exact else hypergeometric_prob
-    return 2 * law(EnsembleParams(n_paths, half, m, m))
+    return 2 * hypergeometric_prob(EnsembleParams(n_paths, half, m, m))
 
 
 def classical_error(m, n_paths=None):
@@ -44,11 +45,11 @@ def classical_error(m, n_paths=None):
 
     The rule only errs on a balanced pattern that happens to give m equal
     readings, so the error is 1/2 * P(all same | balanced), which is 2^-m
-    under independent sampling.  The result is an exact rational.
+    under independent sampling.  The result is a float.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return Fraction(1, 2) * _all_same_given_balanced(m, n_paths, exact=True)
+    return _all_same_given_balanced(m, n_paths) / 2
 
 
 def no_exit_likelihoods(first, m, nu, epsilon=None, n_paths=None):

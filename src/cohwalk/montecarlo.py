@@ -94,13 +94,19 @@ class TrialConfig:
                 "constant": "constant truth only applies to the DJ strategies",
                 "epsilon": "epsilon truth only applies to the epsilon strategies",
             }.get(self.truth, "bad truth tag"))
-        if self.sampling == "hypergeom" and self.m > self.n_paths:
-            raise ValueError("cannot sample more shifters than paths")
-        # the finite-N exit laws and draws without replacement read each pattern's N
-        if (self.likelihood == "exact-n" if self.strategy.startswith("quantum")
-                else self.sampling == "hypergeom"):
+        if self.finite_n is not None:
+            if self.strategy.startswith("classical") and self.m > self.n_paths:
+                raise ValueError("cannot sample more shifters than paths")
             for hypothesis in (h for h in hypotheses if h != "constant"):
                 plus_count(hypothesis, self.n_paths, self.epsilon)
+
+    @property
+    def finite_n(self):
+        """N if the run reads each pattern's size, else None: the quantum
+        strategies' finite-N exit laws, the classical draws without replacement."""
+        reads_n = (self.likelihood == "exact-n" if self.strategy.startswith("quantum")
+                   else self.sampling == "hypergeom")
+        return self.n_paths if reads_n else None
 
 
 @dataclass(frozen=True)
@@ -142,13 +148,12 @@ def _count_pmf(config, hypothesis):
     number of +1 readings for the classical ones; a constant pattern
     reads all +1 (both signs guess identically), a point mass at m.
     """
-    m, n = config.m, config.n_paths
+    m, n = config.m, config.finite_n
     if config.strategy.startswith("quantum"):
-        n_paths = n if config.likelihood == "exact-n" else None
         p = float(detection_probability(
-            hypothesis, config.nu, epsilon=config.epsilon, n_paths=n_paths))
+            hypothesis, config.nu, epsilon=config.epsilon, n_paths=n))
         return binomial_pmf(m, p)
-    if config.sampling == "hypergeom":
+    if n is not None:
         k_plus = n if hypothesis == "constant" else plus_count(hypothesis, n, config.epsilon)
         return hypergeometric_pmf(n, k_plus, m)
     if hypothesis == "constant":
@@ -192,17 +197,15 @@ def _block_errors(config, regions, u):
 def _errors(config):
     """(error | first hypothesis, error | balanced) of the config's strategy,
     the hypotheses in ``_RULES`` order."""
-    strategy, m = config.strategy, config.m
-    sample_n = config.n_paths if config.sampling == "hypergeom" else None
+    strategy, m, n = config.strategy, config.m, config.finite_n
     if strategy == "classical-dj":  # a balanced pattern errs when all m readings agree
-        return 0.0, float(decision._all_same_given_balanced(m, sample_n))
+        return 0.0, decision._all_same_given_balanced(m, n)
     if strategy == "classical-eps":
-        tails = eps_mod.exact_tail_probabilities(m, config.epsilon, n_paths=sample_n)
+        tails = eps_mod.exact_tail_probabilities(m, config.epsilon, n_paths=n)
         return tails.false_bal, tails.false_eps
     # quantum: the first hypothesis errs when no run exits, the balanced one on any exit
-    n_paths = config.n_paths if config.likelihood == "exact-n" else None
     miss_first, miss_balanced = decision.no_exit_likelihoods(
-        _RULES[strategy][0][0], m, config.nu, epsilon=config.epsilon, n_paths=n_paths)
+        _RULES[strategy][0][0], m, config.nu, epsilon=config.epsilon, n_paths=n)
     return miss_first, 1 - miss_balanced
 
 

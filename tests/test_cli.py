@@ -303,6 +303,19 @@ class TestMcCommand:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
+    def test_hypergeom_sampling_leaves_a_quantum_run_alone(self, capsys):
+        # a quantum run draws no shifters: m > N under --sampling hypergeom once exited 2
+        argv = ["mc", "--strategy", "quantum-dj", "--m", "5", "--n", "4", "--seed", "1",
+                "--experiments", "100"]
+        code, out = run_cli(capsys, argv + ["--sampling", "hypergeom"])
+        assert code == 0
+        _, plain = run_cli(capsys, argv)
+        sampled, unsampled = parse_csv_table(out), parse_csv_table(plain)
+        column = sampled.columns.index("sampling")
+        assert (sampled.rows[0][column], unsampled.rows[0][column]) == ("hypergeom", "iid")
+        sampled.rows[0][column] = "iid"
+        assert sampled.rows == unsampled.rows
+
     def test_implicit_seed_is_recorded(self, capsys):
         code, out = run_cli(capsys, ["mc", "--strategy", "classical-dj", "--m", "3",
                                      "--experiments", "1000"])
@@ -338,13 +351,19 @@ class TestInputContract:
         ["decide", "--m-range", "1", "--nu-range", "0.5", "--mode", "exact-n", "--n", "0"],
         ["ensemble", "--n-list", "20,40", "--m", "0"],  # an empty subsequence
         ["walk", "--n", "8", "--promise", "epsilon", "--epsilon", "inf"],
+        # rejected by argparse itself
+        ["bogus"],
+        ["walk", "--promise", "constant"],
+        ["walk", "--n", "x", "--promise", "constant"],
+        ["walk", "--n", "4", "--promise", "sideways"],
+        ["walk", "--n", "4", "--promise", "constant", "--bogus"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
@@ -587,6 +606,42 @@ class TestOutputContract:
         assert list(parse_csv_table(out).metadata) == want
         _, out = run_cli(capsys, argv + ["--format", "json"])
         assert list(json.loads(out)["metadata"]) == want
+
+    @pytest.mark.parametrize("argv, columns", [
+        (["walk", "--n", "4", "--promise", "constant"],
+         ["n", "promise", "epsilon", "nu", "p_analytic", "p_statevector_ideal", "ideal_ok",
+          "p_oracle", "oracle_ok", "coherence_x"]),
+        (["decide", "--m-range", "1:2", "--nu-range", "0.5"],
+         ["m", "nu", "classical_error", "quantum_error", "nu_threshold", "bayes_ok"]),
+        (["epsilon", "--epsilon", "0.2", "--m-range", "5,10"],
+         ["m", "epsilon", "nu", "quantum_miss", "quantum_miss_approx", "bound_false_eps",
+          "bound_false_bal", "bound_approx", "exact_false_eps", "exact_false_bal",
+          "dominance_ok"]),
+        (["ensemble", "--n-list", "100,200", "--m", "2"],
+         ["n_total", "p", "m", "n_plus", "gap", "gap_ratio", "decreasing_ok", "mass_sum",
+          "normalization_ok"]),
+        (["mc", "--strategy", "classical-dj", "--m", "2", "--experiments", "10", "--seed", "1"],
+         ["strategy", "m", "nu", "epsilon", "n", "experiments", "seed", "sampling",
+          "likelihood", "truth", "empirical_error", "std_error", "analytic_error", "z_score",
+          "z_ok"]),
+    ])
+    def test_column_order(self, capsys, argv, columns):
+        _, out = run_cli(capsys, argv)
+        table = parse_csv_table(out)
+        assert table.columns == columns
+        assert all(len(row) == len(columns) for row in table.rows)
+        _, out = run_cli(capsys, argv + ["--format", "json"])
+        payload = json.loads(out)
+        assert payload["columns"] == columns
+        assert payload["rows"] == table.rows
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        # the table is still written; the exit status reports the failed check
+        monkeypatch.setattr(cohwalk.cli, "Z_LIMIT", -1.0)
+        code, out = run_cli(capsys, ["mc", "--strategy", "classical-dj", "--m", "2",
+                                     "--experiments", "10", "--seed", "1"])
+        assert code == 1
+        assert cell(parse_csv_table(out), "z_ok") == "false"
 
     def test_json_carries_same_cells(self, capsys):
         base = ["epsilon", "--epsilon", "0.1", "--m-range", "100"]

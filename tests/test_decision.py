@@ -14,6 +14,7 @@ from cohwalk.decision import (
     quantum_error,
     quantum_posterior_all_zero,
 )
+from cohwalk.ensemble import EnsembleParams, hypergeometric_prob_exact
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -119,7 +120,8 @@ class TestClassical:
         )
         p_same = Fraction(same, len(arrangements) * len(draws))
         expected = HALF * p_same
-        assert classical_error(m, n_paths=n) == expected
+        # the float route, within the count-law kernel's pinned 1e-12 relative
+        assert classical_error(m, n_paths=n) == pytest.approx(float(expected), rel=1e-12, abs=0)
         assert plus == 4
 
     @pytest.mark.parametrize("m", [1, 2, 5, 40])
@@ -129,15 +131,20 @@ class TestClassical:
         all_plus = Fraction(1)
         for i in range(m):
             all_plus *= Fraction(k - i, n - i)
-        assert classical_error(m, n_paths=n) == HALF * 2 * all_plus
+        assert classical_error(m, n_paths=n) == pytest.approx(float(all_plus), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 10, 100, 999, 1000])
     @pytest.mark.parametrize("n", [1000, 1002, 10**4, 10**6, 10**8])
     def test_float_route_matches_the_fraction(self, m, n):
-        # mc and decide --mode exact-n take the float; classical_error stays exact
-        exact = 2 * classical_error(m, n_paths=n)
-        assert isinstance(exact, Fraction)
-        assert _all_same_given_balanced(m, n) == pytest.approx(float(exact), rel=1e-12, abs=0)
+        # the error is P(all m draws +1), whose exact rational is the count law's term at m
+        exact = hypergeometric_prob_exact(EnsembleParams(n, 1 / 2, m, m))
+        assert classical_error(m, n) == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert _all_same_given_balanced(m, n) == 2 * classical_error(m, n)
+
+    def test_all_agree_is_not_a_doubled_error(self):
+        # mc reads P(all agree) itself: 2^-1074 is the least subnormal, and its half rounds to 0
+        assert _all_same_given_balanced(1075) == 2.0 ** -1074
+        assert classical_error(1075) == 0.0
 
 
 class TestQuantum:

@@ -422,6 +422,25 @@ class TestValidation:
         # the idealized laws do not read N
         TrialConfig(strategy, m=3, experiments=10, seed=1, n_paths=n_paths, nu=0.3, **kwargs)
 
+    @pytest.mark.parametrize("strategy, kwargs, finite_n", [
+        ("quantum-dj", {}, None),
+        ("quantum-dj", {"sampling": "hypergeom"}, None),
+        ("quantum-dj", {"likelihood": "exact-n"}, 4),
+        ("classical-dj", {}, None),
+        ("classical-dj", {"likelihood": "exact-n"}, None),
+        ("classical-dj", {"sampling": "hypergeom"}, 4),
+    ])
+    def test_finite_n_follows_the_strategy(self, strategy, kwargs, finite_n):
+        # exit laws read N under exact-n, shifter draws under hypergeom; nothing else does
+        config = TrialConfig(strategy, m=3, experiments=10, seed=1, n_paths=4, **kwargs)
+        assert config.finite_n == finite_n
+
+    def test_more_runs_than_paths_only_limit_draws(self):
+        TrialConfig("quantum-dj", m=5, experiments=10, seed=1, n_paths=4, sampling="hypergeom")
+        with pytest.raises(ValueError, match="^cannot sample more shifters than paths$"):
+            TrialConfig("classical-dj", m=5, experiments=10, seed=1, n_paths=4,
+                        sampling="hypergeom")
+
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             config = TrialConfig("quantum-dj", m=2, experiments=10, seed=seed, nu=0.5)
