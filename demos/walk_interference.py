@@ -7,21 +7,24 @@ right with probability N^2/(N+1)^2; with half the signs flipped they
 cancel and it never does.
 """
 
+import numpy as np
+
 from cohwalk import (
     PhasePattern,
     WalkGraph,
     exit_amplitude,
     exit_probability_ideal,
-    initial_state,
     step,
 )
+from cohwalk.walk import transition_table
 
 
-def show_state(label, state):
+def show_state(label, graph, amp):
     print(f"  {label}:")
-    for edge, amp in sorted(state.items(), key=lambda kv: str(kv[0])):
-        if abs(amp) > 1e-12:
-            print(f"    |{edge[0]},{edge[1]}>  amplitude {amp.real:+.4f}{amp.imag:+.4f}i")
+    for i in sorted(np.flatnonzero(amp), key=lambda i: str(graph.edge_states[i])):
+        if abs(amp[i]) > 1e-12:
+            (u, v), a = graph.edge_states[i], amp[i]
+            print(f"    |{u},{v}>  amplitude {a.real:+.4f}{a.imag:+.4f}i")
 
 
 def main():
@@ -35,12 +38,15 @@ def main():
         ("balanced", PhasePattern.balanced(n)),
     ]:
         print(f"--- {promise} pattern, signs {pattern.signs} ---")
-        state = initial_state()
-        show_state("start", state)
+        table = transition_table(graph, pattern)
+        amp = np.zeros(graph.n_states, dtype=complex)
+        amp[table.a_in[0]] = 1.0  # |0,A>
+        norm = 1.0
+        show_state("start", graph, amp)
         for t in range(1, 4):
-            state = step(state, pattern, graph)
-            show_state(f"after step {t}", state)
-        exit_p = abs(state.get(graph.exit_edge, 0)) ** 2
+            amp, norm = step(amp, table, norm)
+            show_state(f"after step {t}", graph, amp)
+        exit_p = abs(amp[table.b_out[0]]) ** 2  # |B,N+1>
         print(f"  exit probability on |B,{n + 1}>: {exit_p:.6f} "
               f"(closed form {exit_probability_ideal(pattern):.6f})\n")
 

@@ -19,7 +19,6 @@ from .walk import (
     WalkGraph,
     exit_amplitude,
     exit_probability_ideal,
-    initial_state,
     state_norm,
     step,
 )

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .walk import WalkGraph, advance, transition_table
+from .walk import WalkGraph, step, transition_table
 
 BOUND_TOL = 1e-12
 ORACLE_MAX_PATHS = 512
@@ -267,7 +267,7 @@ def full_tensor_oracle(pattern, spec):
 
     for _ in range(3):
         transits = state[table.path_src].any(axis=-1)
-        state, norm = advance(state, table, norm)
+        state, norm = step(state, table, norm)
         side, path = np.nonzero(transits)
         state = _mark(state, configs, column, table.path_dst[side, path], path, spec)
 

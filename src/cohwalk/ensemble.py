@@ -56,6 +56,8 @@ class EnsembleParams:
             raise ValueError("p must lie in [0, 1]")
         k = self._plus
         if abs(k - round(k)) > (1e-9 if self.n_total <= 2**53 else 0):
+            if self.n_total > 2**53:  # name the given p, not its exact Fraction product
+                k = f"{self.p} * {self.n_total} (nearest integer {round(k)})"
             raise ValueError(f"p * n_total = {k} is not an integer")
 
     @property

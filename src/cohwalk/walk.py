@@ -13,7 +13,8 @@ edge of a tail is never reached.
 
 The particle lives on *directed edge states* |u,v>: "on the edge {u,v},
 moving toward v".  |u,v> and |v,u> are distinct orthogonal states.  One
-time step routes every occupied state through the vertex it points at:
+time step, ``step``, routes every occupied state through the vertex it
+points at:
 
 * A and B apply a discrete Fourier transform over their N+1 incident
   edges, kernel exp(2i*pi*j*k/(N+1)) / sqrt(N+1).  At A the incident
@@ -22,11 +23,11 @@ time step routes every occupied state through the vertex it points at:
 * Path vertex j transmits and multiplies by s_j, in both directions.
 * Tail vertices pass amplitude straight through with unit coefficient.
 
-The state is a dense complex array indexed by edge state.  One step
-costs O(N log N): each Fourier vertex is an inverse FFT over its N+1
-slots, each path a sign multiply, each tail an index shift.  After the
-three steps of the walk the support holds O(N) states.  ``step`` keeps
-a dict interface (edge state -> amplitude) over the same kernel.
+The state is a dense complex array indexed by edge state; ``WalkGraph``
+labels each index.  One step costs O(N log N): each Fourier vertex is
+an inverse FFT over its N+1 slots, each path a sign multiply, each tail
+an index shift.  After the three steps of the walk the support holds
+O(N) states.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from functools import cached_property
 import numpy as np
 
 NORM_TOL = 1e-12
-
-START_EDGE = (0, "A")
 TAIL_DEPTH = 4  # edges per tail; three steps never reach the fourth
 
 
@@ -126,7 +125,7 @@ class PhasePattern:
 
 @dataclass
 class WalkGraph:
-    """Truncated interferometer graph: vertex layout and edge-state list.
+    """Truncated interferometer graph: state count and edge-state labels.
 
     Each tail chain holds ``TAIL_DEPTH`` = 4 edges, including (0, A) and
     (B, N+1): the entry tail uses vertices 0, -1, -2, -3 and the exit
@@ -135,9 +134,9 @@ class WalkGraph:
     the i-th undirected edge (u, v) gives state 2i = |u,v> and state
     2i+1 = |v,u>, with the edges in the order (0, A), (-1, 0), (-2, -1),
     ..., then (A, j) and (j, B) for j = 1..N, then (B, N+1),
-    (N+1, N+2), ....  ``edge_states`` and ``state_index`` spell that
-    order out and are built on first use; ``transition_table`` works
-    from the arithmetic alone, so a large walk never builds them.
+    (N+1, N+2), ....  ``edge_states`` spells that order out as labels and
+    is built on first use; ``transition_table`` works from the arithmetic
+    alone, so a large walk never builds it.
     """
 
     n_paths: int
@@ -160,17 +159,6 @@ class WalkGraph:
         undirected.append(("B", n + 1))
         undirected += [(n + k, n + k + 1) for k in range(1, depth)]
         return tuple(state for u, v in undirected for state in ((u, v), (v, u)))
-
-    @cached_property
-    def _index(self):
-        return {e: i for i, e in enumerate(self.edge_states)}
-
-    @property
-    def exit_edge(self):
-        return ("B", self.n_paths + 1)
-
-    def state_index(self, edge):
-        return self._index[edge]
 
 
 @dataclass(frozen=True)
@@ -229,7 +217,7 @@ def transition_table(graph, pattern):
     )
 
 
-def advance(amp, table, norm):
+def step(amp, table, norm):
     """Advance an amplitude array one time step; return it and its norm.
 
     Axis 0 of ``amp`` runs over edge states; further axes ride along
@@ -258,11 +246,6 @@ def advance(amp, table, norm):
     return new, after
 
 
-def initial_state():
-    """Particle entering the interferometer: all amplitude on |0,A>."""
-    return {START_EDGE: 1.0 + 0j}
-
-
 def state_norm(state):
     """Norm of an amplitude array.
 
@@ -273,24 +256,6 @@ def state_norm(state):
     return math.sqrt(np.sum(flat * flat))
 
 
-def _as_dict(graph, amp):
-    support = np.flatnonzero(amp).tolist()
-    return dict(zip([graph.edge_states[i] for i in support], amp[support].tolist()))
-
-
-def step(state, pattern, graph):
-    """Advance a dict state (edge state -> amplitude) one time step.
-
-    Raises ``BoundaryError`` if any amplitude would have to leave the
-    truncated tails, and checks that the step preserves the norm.
-    """
-    table = transition_table(graph, pattern)
-    amp = np.zeros(graph.n_states, dtype=complex)
-    for edge, a in state.items():
-        amp[graph.state_index(edge)] = a
-    return _as_dict(graph, advance(amp, table, state_norm(amp))[0])
-
-
 def exit_amplitude(pattern):
     """Amplitude on the exit edge |B,N+1> after the walk's three steps from |0,A>."""
     graph = WalkGraph(pattern.n_paths)
@@ -299,7 +264,7 @@ def exit_amplitude(pattern):
     amp[table.a_in[0]] = 1.0  # |0,A>
     norm = 1.0  # of the single unit amplitude, exactly
     for _ in range(3):
-        amp, norm = advance(amp, table, norm)
+        amp, norm = step(amp, table, norm)
     return complex(amp[table.b_out[0]])
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from cohwalk.walk import WalkGraph, advance, state_norm, transition_table
+from cohwalk.walk import WalkGraph, state_norm, step, transition_table
 
 
 def overlap_matrix(spec):
@@ -83,7 +83,7 @@ def full_tensor_oracle(pattern, spec):
         occupied = np.flatnonzero(state.any(axis=0))
         columns = state[:, occupied]
         transits = columns[table.path_src].any(axis=-1)
-        state[:, occupied], _ = advance(columns, table, state_norm(columns))
+        state[:, occupied], _ = step(columns, table, state_norm(columns))
         for side, j in zip(*np.nonzero(transits)):
             row = table.path_dst[side, j]
             reg = state[row].reshape((2,) * n)

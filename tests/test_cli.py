@@ -242,6 +242,17 @@ class TestLargeCountLaws:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_inexact_composition_names_p_and_the_nearest_integer(self, capsys):
+        # past 2^53 the message names the given p and N, not their exact Fraction product
+        code = main(["ensemble", "--n-list", str(10**17), "--p", "0.3", "--m", "10"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: p * n_total = 0.3 * {10**17} (nearest integer 29999999999999999)"
+            " is not an integer\n")
+        # below 2^53 it still prints the float product
+        assert main(["ensemble", "--n-list", "1111", "--p", "0.3", "--m", "10"]) == 2
+        assert capsys.readouterr().err == "error: p * n_total = 333.3 is not an integer\n"
+
     @pytest.mark.parametrize("argv", [
         ["epsilon", "--epsilon", "0.2", "--exact-tails", "--m-range", "20000"],
         ["mc", "--strategy", "classical-eps", "--m", "100000", "--epsilon", "0.2",

@@ -6,16 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from cohwalk import walk
+from cohwalk import decoherence, walk
+from cohwalk.decoherence import AncillaSpec, full_tensor_oracle
 from cohwalk.walk import (
     TAIL_DEPTH,
     BoundaryError,
-    advance,
     PhasePattern,
     WalkGraph,
     exit_amplitude,
     exit_probability_ideal,
-    initial_state,
     state_norm,
     step,
     transition_table,
@@ -44,9 +43,20 @@ def random_pattern(rng, n):
 
 
 def non_boundary_states(graph, table):
-    """Edge states the walk may route: all but those pointing off the tails."""
-    boundary = {graph.edge_states[i] for i in table.boundary}
-    return [e for e in graph.edge_states if e not in boundary]
+    """Indices of the edge states the walk may route: all but those pointing off the tails."""
+    return np.setdiff1d(np.arange(graph.n_states), table.boundary)
+
+
+def start(graph):
+    """The walk's initial state, all amplitude on the state labelled |0,A>, and its norm."""
+    amp = np.zeros(graph.n_states, dtype=complex)
+    amp[graph.edge_states.index((0, "A"))] = 1.0
+    return amp, 1.0
+
+
+def support(graph, amp):
+    """The nonzero amplitudes of ``amp``, keyed by edge-state label."""
+    return {graph.edge_states[i]: amp[i] for i in np.flatnonzero(amp)}
 
 
 def dense_step_matrix(graph, pattern):
@@ -101,7 +111,10 @@ class TestGraph:
             assert (v, u) in states
 
     def test_exit_edge_label(self):
-        assert WalkGraph(5).exit_edge == ("B", 6)
+        graph = WalkGraph(5)
+        table = transition_table(graph, PhasePattern.constant(5))
+        assert graph.edge_states[table.a_in[0]] == (0, "A")
+        assert graph.edge_states[table.b_out[0]] == ("B", 6)
 
 
 class TestPhasePattern:
@@ -168,7 +181,8 @@ class TestStep:
         n = 5
         pattern = PhasePattern.constant(n)
         graph = WalkGraph(n)
-        state = step(initial_state(), pattern, graph)
+        amp, norm = start(graph)
+        state = support(graph, step(amp, transition_table(graph, pattern), norm)[0])
         expected = 1 / math.sqrt(n + 1)
         assert set(state) == {("A", k) for k in range(n + 1)}
         for amp in state.values():
@@ -179,9 +193,11 @@ class TestStep:
         n = 4
         pattern = PhasePattern((1, 1, -1, -1), "balanced")
         graph = WalkGraph(n)
-        state = initial_state()
+        table = transition_table(graph, pattern)
+        amp, norm = start(graph)
         for _ in range(2):
-            state = step(state, pattern, graph)
+            amp, norm = step(amp, table, norm)
+        state = support(graph, amp)
         root = 1 / math.sqrt(n + 1)
         assert state[(0, -1)] == pytest.approx(root, abs=1e-12)
         for j, sign in enumerate(pattern.signs, start=1):
@@ -193,14 +209,14 @@ class TestStep:
         for n in (2, 5, 9):
             pattern = random_pattern(rng, n)
             graph = WalkGraph(n)
-            safe = non_boundary_states(graph, transition_table(graph, pattern))
+            table = transition_table(graph, pattern)
+            safe = non_boundary_states(graph, table)
             for _ in range(5):
-                amps = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
-                amps /= np.linalg.norm(amps)
-                state = dict(zip(safe, amps))
-                assert state_norm(list(step(state, pattern, graph).values())) == pytest.approx(
-                    1.0, abs=1e-12
-                )
+                amp = np.zeros(graph.n_states, dtype=complex)
+                amp[safe] = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
+                amp /= np.linalg.norm(amp)
+                new, norm = step(amp, table, state_norm(amp))
+                assert norm == state_norm(new) == pytest.approx(1.0, abs=1e-12)
 
     def test_step_matches_dense_reference(self):
         # the Fourier kernel's sign matters here: a conjugated kernel keeps
@@ -212,51 +228,59 @@ class TestStep:
             table = transition_table(graph, pattern)
             matrix = dense_step_matrix(graph, pattern)
             safe = non_boundary_states(graph, table)
-            cols = [graph.state_index(e) for e in safe]
             rows = np.flatnonzero(np.abs(matrix).sum(axis=1))
-            square = matrix[np.ix_(rows, cols)]
+            square = matrix[np.ix_(rows, safe)]
             assert square.shape == (len(safe), len(safe))
             assert np.allclose(square.conj().T @ square, np.eye(len(safe)), rtol=0, atol=1e-12)
             for _ in range(3):
-                amps = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
-                amps /= np.linalg.norm(amps)
-                vec = np.zeros(len(graph.edge_states), dtype=complex)
-                vec[cols] = amps
+                vec = np.zeros(graph.n_states, dtype=complex)
+                vec[safe] = rng.standard_normal(len(safe)) + 1j * rng.standard_normal(len(safe))
+                vec /= np.linalg.norm(vec)
                 want = matrix @ vec
-                got = step(dict(zip(safe, amps)), pattern, graph)
-                assert set(got) <= {graph.edge_states[i] for i in rows}
-                have = np.zeros_like(want)
-                for edge, amp in got.items():
-                    have[graph.state_index(edge)] = amp
-                assert np.max(np.abs(have - want)) <= 1e-12
+                got, _ = step(vec, table, state_norm(vec))
+                assert set(np.flatnonzero(got)) <= set(rows)
+                assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_causality_support_by_step(self):
         # after t steps the support sits exactly t edges from the start edge
         n = 4
         pattern = PhasePattern.constant(n)
         graph = WalkGraph(n)
+        table = transition_table(graph, pattern)
         horizons = [
             {(0, "A")},
             {("A", k) for k in range(n + 1)},
             {(0, -1)} | {(j, "B") for j in range(1, n + 1)},
             {(-1, -2)} | {("B", k) for k in range(1, n + 2)},
         ]
-        state = initial_state()
+        amp, norm = start(graph)
         for horizon in horizons:
-            assert set(state) <= horizon
-            state = step(state, pattern, graph)
+            assert set(support(graph, amp)) <= horizon
+            amp, norm = step(amp, table, norm)
 
-    def test_dict_route_equals_array_route(self):
-        # three dict steps land exactly where exit_amplitude's array walk does
+    def test_three_steps_end_on_the_exit_label(self):
+        # three steps from |0,A> put exit_amplitude on the state labelled |B,N+1>
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(2, 41))
             pattern = random_pattern(rng, n)
             graph = WalkGraph(n)
-            state = initial_state()
+            table = transition_table(graph, pattern)
+            amp, norm = start(graph)
             for _ in range(3):
-                state = step(state, pattern, graph)
-            assert state.get(graph.exit_edge, 0) == exit_amplitude(pattern)
+                amp, norm = step(amp, table, norm)
+            assert support(graph, amp).get(("B", n + 1), 0) == exit_amplitude(pattern)
+
+    def test_each_walk_takes_three_steps_through_its_module_global(self, monkeypatch):
+        # a profiler that rebinds walk.step and decoherence.step sees every step
+        pattern = PhasePattern.constant(6)
+        for module, run in ((walk, lambda: exit_amplitude(pattern)),
+                            (decoherence,
+                             lambda: full_tensor_oracle(pattern, AncillaSpec.uniform(0.5, 6)))):
+            calls = []
+            monkeypatch.setattr(module, "step", lambda *args: calls.append(1) or step(*args))
+            run()
+            assert len(calls) == 3
 
     def test_each_step_computes_one_norm(self, monkeypatch):
         calls = []
@@ -271,15 +295,17 @@ class TestStep:
         amp = np.zeros(4 * (4 + 4), dtype=complex)
         amp[table.a_in[0]] = 1.0
         with pytest.raises(AssertionError, match="broke the norm"):
-            advance(amp, table, 1.0 + 1e-9)
+            step(amp, table, 1.0 + 1e-9)
 
     def test_boundary_error_past_truncation(self):
         pattern = PhasePattern.constant(2)
         graph = WalkGraph(2)
-        state = initial_state()
+        table = transition_table(graph, pattern)
+        amp, norm = start(graph)
         with pytest.raises(BoundaryError):
             for _ in range(5):
-                state = step(state, pattern, graph)
+                amp, norm = step(amp, table, norm)
+
 
 class TestExitProbability:
     def test_constant_amplitude_small_n(self):
