@@ -13,7 +13,11 @@ Every table starts with a metadata block (``# key=value`` lines in CSV,
 a ``metadata`` object in JSON) that holds the exact flag values needed
 to reproduce the run; floats are serialized with full round-trip
 precision.  The process exits 0 only if every ``*_ok`` check column in
-the table is true.
+the table is true.  Each check's limit is its ``TOLERANCES`` entry, and
+``<check>_dev``, just before ``<check>_ok``, is the deviation it judged:
+an absolute difference for ideal, oracle and bayes, |mass - 1| for
+normalization, and for dominance the larger exact tail minus its bound,
+signed (negative is slack).  ``z_ok`` and ``decreasing_ok`` judge ``z_score`` and ``gap``.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from .decoherence import (
     ORACLE_MAX_PATHS, AncillaSpec, detection_probability, full_tensor_oracle)
 from .walk import PhasePattern, exit_amplitude, exit_probability_ideal
 
-Z_LIMIT = 4.0
-GAP_NOISE = 1e-12  # a convergence gap this small is float noise: the two laws coincide
+# the largest deviation each check passes; a gap below `decreasing` is float noise
+TOLERANCES = dict(ideal=1e-12, oracle=1e-10, bayes=1e-12, dominance=1e-12,
+                  normalization=1e-9, z=4.0, decreasing=1e-12)
 MAX_LIST_VALUES = 10_000  # values one --m-range, --nu-range or --n-list may give
 # Sizes: at 10^6 a count law over 0..m or the walk over N paths takes 0.2-2 s and
 # 140-400 MB, and 10^9 experiments take ~35 s (2-vCPU VM)
@@ -88,6 +93,12 @@ def _fmt(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _check(name, deviation):
+    """The ``<name>_dev`` and ``<name>_ok`` cells; both empty if the check did not run."""
+    ok = None if deviation is None else deviation <= TOLERANCES[name]
+    return {f"{name}_dev": deviation, f"{name}_ok": ok}
 
 
 def _check_size(flag, value, limit):
@@ -174,16 +185,16 @@ def cmd_walk(args):
     )
     p_ideal_formula = exit_probability_ideal(pattern)
     p_statevector = abs(exit_amplitude(pattern)) ** 2
-    ideal_ok = abs(p_statevector - p_ideal_formula) <= 1e-12
-    p_oracle, oracle_ok = None, None
+    p_oracle = oracle_dev = None
     if args.exact_oracle:
         p_oracle = full_tensor_oracle(pattern, AncillaSpec.uniform(args.nu, args.n))
-        oracle_ok = abs(p_oracle - p_analytic) <= 1e-10
+        oracle_dev = abs(p_oracle - p_analytic)
     # X = sum_{j!=k} |G[k][j]| / (N+1)^2 with every off-diagonal overlap nu
     coherence_x = args.nu * args.n * (args.n - 1) / (args.n + 1) ** 2
     return [dict(n=args.n, promise=args.promise, epsilon=args.epsilon, nu=args.nu,
-                 p_analytic=p_analytic, p_statevector_ideal=p_statevector, ideal_ok=ideal_ok,
-                 p_oracle=p_oracle, oracle_ok=oracle_ok, coherence_x=coherence_x)]
+                 p_analytic=p_analytic, p_statevector_ideal=p_statevector,
+                 **_check("ideal", abs(p_statevector - p_ideal_formula)),
+                 p_oracle=p_oracle, **_check("oracle", oracle_dev), coherence_x=coherence_x)]
 
 
 def cmd_decide(args):
@@ -203,9 +214,8 @@ def cmd_decide(args):
             # the ambiguous branch must rebuild the full error by Bayes
             evidence = (miss_c + miss_b) / 2
             recomposed = float(post_c) * float(evidence) + 0.5 * float(1 - miss_b)
-            bayes_ok = abs(recomposed - q_err) <= 1e-12
             rows.append(dict(m=m, nu=nu, classical_error=c_err, quantum_error=q_err,
-                             nu_threshold=threshold, bayes_ok=bayes_ok))
+                             nu_threshold=threshold, **_check("bayes", abs(recomposed - q_err))))
     return rows
 
 
@@ -215,19 +225,18 @@ def cmd_epsilon(args):
     for m in ms:
         miss = eps_mod.quantum_miss_probability(m, args.epsilon, args.nu)
         bounds = eps_mod.classical_error_bounds(m, args.epsilon)
-        exact_fe = exact_fb = dominance_ok = None
+        exact_fe = exact_fb = dominance_dev = None
         if args.exact_tails:
             tails = eps_mod.exact_tail_probabilities(m, args.epsilon)
             exact_fe, exact_fb = tails.false_eps, tails.false_bal
-            dominance_ok = (
-                exact_fe <= bounds.chernoff_false_eps + 1e-12
-                and exact_fb <= bounds.chernoff_false_bal + 1e-12
-            )
+            dominance_dev = max(exact_fe - bounds.chernoff_false_eps,
+                                exact_fb - bounds.chernoff_false_bal)
         rows.append(dict(
             m=m, epsilon=args.epsilon, nu=args.nu, quantum_miss=miss.exact,
             quantum_miss_approx=miss.approx, bound_false_eps=bounds.chernoff_false_eps,
             bound_false_bal=bounds.chernoff_false_bal, bound_approx=bounds.approx_false_eps,
-            exact_false_eps=exact_fe, exact_false_bal=exact_fb, dominance_ok=dominance_ok,
+            exact_false_eps=exact_fe, exact_false_bal=exact_fb,
+            **_check("dominance", dominance_dev),
         ))
     return rows
 
@@ -245,12 +254,11 @@ def cmd_ensemble(args):
         gap = ensemble.convergence_gap(n, args.p, args.m, hypergeometric=law)
         ratio = gap / previous_gap if previous_gap else None  # no ratio after a zero gap
         decreasing_ok = None if previous_gap is None else (
-            gap < previous_gap or gap <= GAP_NOISE)
+            gap < previous_gap or gap <= TOLERANCES["decreasing"])
         mass = sum(law)
-        normalization_ok = abs(mass - 1.0) <= 1e-9
         rows.append(dict(n_total=n, p=args.p, m=args.m, n_plus=k_plus, gap=gap, gap_ratio=ratio,
                          decreasing_ok=decreasing_ok, mass_sum=mass,
-                         normalization_ok=normalization_ok))
+                         **_check("normalization", abs(mass - 1.0))))
         previous_gap = gap
     return rows
 
@@ -281,7 +289,7 @@ def cmd_mc(args):
                  likelihood=args.likelihood, truth=args.truth,
                  empirical_error=result.empirical_error, std_error=result.std_error,
                  analytic_error=result.analytic_error, z_score=result.z_score,
-                 z_ok=abs(result.z_score) <= Z_LIMIT)]
+                 z_ok=abs(result.z_score) <= TOLERANCES["z"])]
 
 
 def _metadata(args):

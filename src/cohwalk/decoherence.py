@@ -250,7 +250,7 @@ def full_tensor_oracle(pattern, spec):
     formulas.  Only the configurations that hold amplitude get a column,
     N + 1 of the 2^N in the three-step walk.  Limited to
     N <= ORACLE_MAX_PATHS = 512, where the 4(N + 4) edge states by N + 1
-    columns and a step's temporaries peak at ~61 MiB.
+    columns and a step's temporaries peak at ~45 MiB.
     """
     n = pattern.n_paths
     if spec.n_paths != n:

@@ -249,11 +249,14 @@ def step(amp, table, norm):
 def state_norm(state):
     """Norm of an amplitude array.
 
-    Summed pairwise: a running sum over a flat unit vector is already
-    off by 2.7e-12 at N = 10^5, past NORM_TOL.
+    Squares 2^16 floats at a time in one buffer and adds the blocks' pairwise
+    sums with math.fsum, so no state-sized copy is made; a running sum over a
+    flat unit vector is already off by 2.7e-12 at N = 10^5, past NORM_TOL.
     """
     flat = np.ascontiguousarray(state, dtype=complex).ravel().view(np.float64)
-    return math.sqrt(np.sum(flat * flat))
+    buffer = np.empty(min(1 << 16, flat.size))
+    return math.sqrt(math.fsum(np.multiply(part, part, out=buffer[:part.size]).sum()
+                               for part in np.split(flat, range(1 << 16, flat.size, 1 << 16))))
 
 
 def exit_amplitude(pattern):

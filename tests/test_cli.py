@@ -13,12 +13,24 @@ from hypothesis import example, given, settings, strategies as st
 
 import cohwalk
 from cohwalk.cli import (
-    MAX_EXPERIMENTS, MAX_LIST_VALUES, MAX_PATHS, MAX_TRIALS, OutputTable, main,
+    MAX_EXPERIMENTS, MAX_LIST_VALUES, MAX_PATHS, MAX_TRIALS, TOLERANCES, OutputTable, main,
 )
 from cohwalk.decoherence import AncillaSpec, compute_X, overlaps
 
 BOOL_FLAGS = {"exact_oracle", "exact_tails", "strict"}
 NON_FLAG_KEYS = {"command", "version"}
+# one run per subcommand with every optional check on
+CHECKED_RUNS = {
+    "walk": ["walk", "--n", "8", "--promise", "epsilon", "--epsilon", "0.5", "--nu", "0.9",
+             "--exact-oracle"],
+    "decide": ["decide", "--m-range", "1:4", "--nu-range", "0:1:0.25", "--mode", "exact-n",
+               "--n", "40"],
+    "epsilon": ["epsilon", "--epsilon", "0.2", "--m-range", "1,10,100", "--nu", "0.8",
+                "--exact-tails"],
+    "ensemble": ["ensemble", "--n-list", "100,1000,10000", "--m", "5", "--p", "0.3"],
+    "mc": ["mc", "--strategy", "quantum-dj", "--m", "3", "--nu", "0.6", "--experiments", "1000",
+           "--seed", "1"],
+}
 
 
 def parse_csv_table(text):
@@ -620,17 +632,18 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("argv, columns", [
         (["walk", "--n", "4", "--promise", "constant"],
-         ["n", "promise", "epsilon", "nu", "p_analytic", "p_statevector_ideal", "ideal_ok",
-          "p_oracle", "oracle_ok", "coherence_x"]),
+         ["n", "promise", "epsilon", "nu", "p_analytic", "p_statevector_ideal", "ideal_dev",
+          "ideal_ok", "p_oracle", "oracle_dev", "oracle_ok", "coherence_x"]),
         (["decide", "--m-range", "1:2", "--nu-range", "0.5"],
-         ["m", "nu", "classical_error", "quantum_error", "nu_threshold", "bayes_ok"]),
+         ["m", "nu", "classical_error", "quantum_error", "nu_threshold", "bayes_dev",
+          "bayes_ok"]),
         (["epsilon", "--epsilon", "0.2", "--m-range", "5,10"],
          ["m", "epsilon", "nu", "quantum_miss", "quantum_miss_approx", "bound_false_eps",
           "bound_false_bal", "bound_approx", "exact_false_eps", "exact_false_bal",
-          "dominance_ok"]),
+          "dominance_dev", "dominance_ok"]),
         (["ensemble", "--n-list", "100,200", "--m", "2"],
          ["n_total", "p", "m", "n_plus", "gap", "gap_ratio", "decreasing_ok", "mass_sum",
-          "normalization_ok"]),
+          "normalization_dev", "normalization_ok"]),
         (["mc", "--strategy", "classical-dj", "--m", "2", "--experiments", "10", "--seed", "1"],
          ["strategy", "m", "nu", "epsilon", "n", "experiments", "seed", "sampling",
           "likelihood", "truth", "empirical_error", "std_error", "analytic_error", "z_score",
@@ -646,13 +659,33 @@ class TestOutputContract:
         assert payload["columns"] == columns
         assert payload["rows"] == table.rows
 
-    def test_failed_check_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", CHECKED_RUNS.values(), ids=list(CHECKED_RUNS))
+    def test_each_ok_follows_its_deviation(self, capsys, argv):
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        table = parse_csv_table(out)
+        for i, name in enumerate(table.columns):
+            if not name.endswith("_ok") or name in ("z_ok", "decreasing_ok"):
+                continue
+            check = name[:-len("_ok")]
+            assert table.columns[i - 1] == f"{check}_dev"
+            for row in table.rows:
+                assert row[i] == ("true" if float(row[i - 1]) <= TOLERANCES[check] else "false")
+
+    # a run of each check; at m = 1 the two ensemble laws coincide, so every gap
+    # is float noise, where a strictly falling gap would pass whatever the limit
+    FAILING_RUNS = dict(
+        ideal=CHECKED_RUNS["walk"], oracle=CHECKED_RUNS["walk"], bayes=CHECKED_RUNS["decide"],
+        dominance=CHECKED_RUNS["epsilon"], normalization=CHECKED_RUNS["ensemble"],
+        decreasing=["ensemble", "--n-list", "100,200", "--m", "1"], z=CHECKED_RUNS["mc"])
+
+    @pytest.mark.parametrize("check", TOLERANCES)
+    def test_failed_check_exits_1(self, capsys, monkeypatch, check):
         # the table is still written; the exit status reports the failed check
-        monkeypatch.setattr(cohwalk.cli, "Z_LIMIT", -1.0)
-        code, out = run_cli(capsys, ["mc", "--strategy", "classical-dj", "--m", "2",
-                                     "--experiments", "10", "--seed", "1"])
+        monkeypatch.setitem(TOLERANCES, check, -1.0)
+        code, out = run_cli(capsys, self.FAILING_RUNS[check])
         assert code == 1
-        assert cell(parse_csv_table(out), "z_ok") == "false"
+        assert cell(parse_csv_table(out), f"{check}_ok", -1) == "false"
 
     def test_json_carries_same_cells(self, capsys):
         base = ["epsilon", "--epsilon", "0.1", "--m-range", "100"]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cohwalk import decoherence, walk
 from cohwalk.decoherence import AncillaSpec, full_tensor_oracle
 from cohwalk.walk import (
+    NORM_TOL,
     TAIL_DEPTH,
     BoundaryError,
     PhasePattern,
@@ -288,6 +290,19 @@ class TestStep:
                             lambda amp: calls.append(1) or state_norm(amp))
         exit_amplitude(PhasePattern.constant(6))
         assert len(calls) == 3
+
+    def test_norm_makes_no_state_sized_copy(self):
+        # a 16 MiB state, the size of the joint oracle's at N = 512
+        flat = np.random.default_rng(3).standard_normal(2**21)
+        state = flat.view(complex)
+        tracemalloc.start()
+        try:
+            norm = state_norm(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert abs(norm - math.sqrt(math.fsum((flat * flat).tolist()))) <= NORM_TOL
 
     def test_norm_check_compares_with_the_carried_norm(self):
         pattern = PhasePattern.constant(4)
