@@ -16,13 +16,11 @@ def main():
         ("classical DJ, m=3", TrialConfig(
             "classical-dj", m=3, experiments=experiments, seed=401)),
         ("classical DJ, m=5, no replacement", TrialConfig(
-            "classical-dj", m=5, experiments=experiments, seed=402,
-            n_paths=1000, sampling="hypergeom")),
+            "classical-dj", m=5, experiments=experiments, seed=402, n_paths=1000)),
         ("quantum DJ, m=2, nu=0.5", TrialConfig(
             "quantum-dj", m=2, experiments=experiments, seed=403, nu=0.5)),
         ("quantum DJ, m=2, nu=0.5, exact N=50", TrialConfig(
-            "quantum-dj", m=2, experiments=experiments, seed=404, nu=0.5,
-            n_paths=50, likelihood="exact-n")),
+            "quantum-dj", m=2, experiments=experiments, seed=404, nu=0.5, n_paths=50)),
         ("classical eps test, m=200, eps=0.2", TrialConfig(
             "classical-eps", m=200, experiments=experiments, seed=405,
             epsilon=0.2)),

@@ -144,7 +144,7 @@ def _int_list(text, flag):
 
 
 def _float_list(text, flag):
-    """Parse '0.5', '0,0.5,1' or 'a:b:step' (stop inclusive) into floats."""
+    """Parse '0.5', '0,0.5,1' or 'a:b:step' (stop inclusive, never passed) into floats."""
     values = []
     for part in text.split(","):
         if ":" in part:
@@ -160,7 +160,11 @@ def _float_list(text, flag):
                                  "and point from start to stop")
             span = (stop - start) / step
             _check_length(flag, len(values) + span + 1)
-            values.extend(start + i * step for i in range(int(round(span)) + 1))
+            # never past stop, as an int range: the slack keeps 0:0.3:0.1 at four
+            # values, and the clamp a last value that rounding lifts past stop
+            bound = min if step > 0 else max
+            values.extend(bound(start + i * step, stop)
+                          for i in range(math.floor(span + 1e-9) + 1))
         else:
             values.append(float(part))
     _check_length(flag, len(values))
@@ -244,6 +248,8 @@ def cmd_epsilon(args):
 def cmd_ensemble(args):
     _check_size("--m", args.m, MAX_TRIALS)  # an empty subsequence has no gap to compare
     ns = _int_list(args.n_list, "--n-list")
+    if any(a >= b for a, b in zip(ns, ns[1:])):  # decreasing_ok compares each gap to the last
+        raise ValueError("--n-list must be strictly increasing")
     rows = []
     previous_gap = None
     for n in ns:
@@ -271,18 +277,12 @@ def cmd_mc(args):
     _check_size("--n", args.n, MAX_PATHS)
     _check_size("--m", args.m, MAX_TRIALS)
     _check_size("--experiments", args.experiments, MAX_EXPERIMENTS)
+    # N reaches the exit laws under exact-n and the shifter draws under hypergeom
+    mode = args.likelihood if args.strategy.startswith("quantum") else args.sampling
     config = montecarlo.TrialConfig(
-        strategy=args.strategy,
-        m=args.m,
-        experiments=args.experiments,
-        seed=args.seed,
-        n_paths=args.n,
-        nu=args.nu,
-        epsilon=args.epsilon,
-        likelihood=args.likelihood,
-        sampling=args.sampling,
-        truth=args.truth,
-    )
+        args.strategy, args.m, args.experiments, args.seed,
+        n_paths=args.n if mode in ("exact-n", "hypergeom") else None,
+        nu=args.nu, epsilon=args.epsilon, truth=args.truth)
     result = montecarlo.run_experiment(config)
     return [dict(strategy=args.strategy, m=args.m, nu=args.nu, epsilon=args.epsilon, n=args.n,
                  experiments=args.experiments, seed=args.seed, sampling=args.sampling,

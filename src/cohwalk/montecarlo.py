@@ -54,17 +54,22 @@ STREAM_BLOCK = 1 << 16  # experiments per Philox stream; fixed by the format
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Full description of one Monte Carlo run (deterministic given seed)."""
+    """Full description of one Monte Carlo run (deterministic given seed).
+
+    ``n_paths`` is the run's one finite-N switch, as in every closed form:
+    None means the large-N exit laws and iid draws; an int N means the
+    finite-N exit laws for the quantum strategies and draws without
+    replacement for the classical ones, and each pattern's composition is
+    then checked with ``plus_count``.
+    """
 
     strategy: str
     m: int
     experiments: int
     seed: int
-    n_paths: int = 1000
+    n_paths: int | None = None
     nu: float = 1.0
     epsilon: float | None = None
-    likelihood: str = "idealized"   # 'idealized' | 'exact-n'
-    sampling: str = "iid"           # 'iid' | 'hypergeom'
     truth: str = "prior"            # 'prior' | 'constant' | 'balanced' | 'epsilon'
 
     def __post_init__(self):
@@ -74,16 +79,12 @@ class TrialConfig:
             raise ValueError("experiments must be at least 1")
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.n_paths < 1:
+        if self.n_paths is not None and self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
         if not 0 <= self.nu <= 1:
             raise ValueError("nu must lie in [0, 1]")
-        if self.likelihood not in ("idealized", "exact-n"):
-            raise ValueError("likelihood must be 'idealized' or 'exact-n'")
-        if self.sampling not in ("iid", "hypergeom"):
-            raise ValueError("sampling must be 'iid' or 'hypergeom'")
         if self.strategy.endswith("-eps") and self.epsilon is None:
             raise ValueError("epsilon strategies need an epsilon value")
         if self.epsilon is not None and not 0 < self.epsilon < 1:
@@ -94,19 +95,11 @@ class TrialConfig:
                 "constant": "constant truth only applies to the DJ strategies",
                 "epsilon": "epsilon truth only applies to the epsilon strategies",
             }.get(self.truth, "bad truth tag"))
-        if self.finite_n is not None:
+        if self.n_paths is not None:
             if self.strategy.startswith("classical") and self.m > self.n_paths:
                 raise ValueError("cannot sample more shifters than paths")
             for hypothesis in (h for h in hypotheses if h != "constant"):
                 plus_count(hypothesis, self.n_paths, self.epsilon)
-
-    @property
-    def finite_n(self):
-        """N if the run reads each pattern's size, else None: the quantum
-        strategies' finite-N exit laws, the classical draws without replacement."""
-        reads_n = (self.likelihood == "exact-n" if self.strategy.startswith("quantum")
-                   else self.sampling == "hypergeom")
-        return self.n_paths if reads_n else None
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,7 @@ def _count_pmf(config, hypothesis):
     number of +1 readings for the classical ones; a constant pattern
     reads all +1 (both signs guess identically), a point mass at m.
     """
-    m, n = config.m, config.finite_n
+    m, n = config.m, config.n_paths
     if config.strategy.startswith("quantum"):
         p = float(detection_probability(
             hypothesis, config.nu, epsilon=config.epsilon, n_paths=n))
@@ -197,7 +190,7 @@ def _block_errors(config, regions, u):
 def _errors(config):
     """(error | first hypothesis, error | balanced) of the config's strategy,
     the hypotheses in ``_RULES`` order."""
-    strategy, m, n = config.strategy, config.m, config.finite_n
+    strategy, m, n = config.strategy, config.m, config.n_paths
     if strategy == "classical-dj":  # a balanced pattern errs when all m readings agree
         return 0.0, decision._all_same_given_balanced(m, n)
     if strategy == "classical-eps":
@@ -210,7 +203,7 @@ def _errors(config):
 
 
 def analytic_error(config):
-    """Closed-form target matching the config's modes and truth tag: the
+    """Closed-form target matching the config's N and truth tag: the
     error given the tagged hypothesis, or the mean of both under the prior."""
     first_error, balanced_error = _errors(config)
     if config.truth == "prior":
@@ -225,7 +218,7 @@ def run_experiment(config):
     rate; when that is 0 (no errors, or all wrong) it divides by the
     standard error of the analytic rate instead, which is then reported.
     """
-    analytic = analytic_error(config)  # rejects a bad composition before any sampling
+    analytic = analytic_error(config)  # rejects a bad composition before any draw
     regions = _error_regions(config)
     total_errors = sum(_block_errors(config, regions, u)
                        for u in _uniform_blocks(config.seed, 0, config.experiments))

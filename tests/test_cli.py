@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import cohwalk
 from cohwalk.cli import (
-    MAX_EXPERIMENTS, MAX_LIST_VALUES, MAX_PATHS, MAX_TRIALS, TOLERANCES, OutputTable, main,
+    MAX_EXPERIMENTS, MAX_LIST_VALUES, MAX_PATHS, MAX_TRIALS, TOLERANCES, OutputTable,
+    _float_list, main,
 )
 from cohwalk.decoherence import AncillaSpec, compute_X, overlaps
+from cohwalk.montecarlo import TrialConfig, analytic_error
 
 BOOL_FLAGS = {"exact_oracle", "exact_tails", "strict"}
 NON_FLAG_KEYS = {"command", "version"}
@@ -152,6 +155,27 @@ class TestDecideCommand:
         assert code == 0
         assert [row[0] for row in parse_csv_table(out).rows] == ms
 
+    @pytest.mark.parametrize("nu_range, nus", [
+        ("0:1:0.25", ["0.0", "0.25", "0.5", "0.75", "1.0"]),
+        ("0:0.5:0.3", ["0.0", "0.3"]),  # once also 0.6
+        ("0:1:0.35", ["0.0", "0.35", "0.7"]),  # once also 1.05, which exited 2
+        ("0:0.3:0.1", ["0.0", "0.1", "0.2", "0.3"]),  # 0.3/0.1 < 3, and 3 * 0.1 > 0.3
+        ("1:0:-0.4", ["1.0", "0.6", "0.19999999999999996"]),
+        ("0.3:0:-0.1", ["0.3", "0.19999999999999998", "0.09999999999999998", "0.0"]),
+    ])
+    def test_float_ranges_never_pass_stop(self, capsys, nu_range, nus):
+        code, out = run_cli(capsys, ["decide", "--m-range", "1", "--nu-range", nu_range])
+        assert code == 0
+        assert [row[1] for row in parse_csv_table(out).rows] == nus
+
+    def test_no_float_range_to_one_passes_one(self):
+        # 414 of the grid's ranges once gave a value above 1, and the last two
+        # reach 1 + 2**-52 by rounding
+        grid = [f"0.{start}:1:{step / 100:.2f}"
+                for start, step in itertools.product(range(10), range(1, 101))]
+        for text in grid + ["0.09:1:0.035", "0.09:1:0.07"]:
+            assert max(_float_list(text, "--nu-range")) <= 1, text
+
     def test_closed_form_grid_value(self, capsys):
         code, out = run_cli(capsys, ["decide", "--m-range", "5",
                                      "--nu-range", "0.6"])
@@ -190,6 +214,14 @@ class TestEnsembleCommand:
         assert gaps[0] > gaps[1] > gaps[2]
         assert cell(table, "decreasing_ok", 1) == "true"
         assert cell(table, "normalization_ok", 0) == "true"
+
+    @pytest.mark.parametrize("n_list", ["1000,1000", "1000,100", "100,1000,500"])
+    def test_n_list_must_increase(self, capsys, n_list):
+        # decreasing_ok compares each gap to the one before: 1000,1000 once exited 1
+        assert main(["ensemble", "--n-list", n_list, "--m", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n-list must be strictly increasing\n"
 
     def test_oversized_m_rejected(self, capsys):
         code, _ = run_cli(capsys, ["ensemble", "--n-list", "100", "--m", "11"])
@@ -326,18 +358,36 @@ class TestMcCommand:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
-    def test_hypergeom_sampling_leaves_a_quantum_run_alone(self, capsys):
-        # a quantum run draws no shifters: m > N under --sampling hypergeom once exited 2
-        argv = ["mc", "--strategy", "quantum-dj", "--m", "5", "--n", "4", "--seed", "1",
-                "--experiments", "100"]
-        code, out = run_cli(capsys, argv + ["--sampling", "hypergeom"])
+    @pytest.mark.parametrize("strategy, m, flags, reads_n", [
+        ("quantum-dj", 5, [], False),
+        ("quantum-dj", 5, ["--sampling", "hypergeom"], False),
+        ("quantum-dj", 5, ["--likelihood", "exact-n"], True),
+        ("classical-dj", 3, [], False),
+        ("classical-dj", 3, ["--likelihood", "exact-n"], False),
+        ("classical-dj", 3, ["--sampling", "hypergeom"], True),
+    ], ids=lambda v: ("=".join(v)[2:] or "no-flag") if isinstance(v, list) else None)
+    def test_n_reaches_only_the_law_its_flag_names(self, capsys, strategy, m, flags, reads_n):
+        # exit laws read N under exact-n, shifter draws under hypergeom; a quantum
+        # run draws no shifters, so m > N under --sampling hypergeom once exited 2
+        argv = ["mc", "--strategy", strategy, "--m", str(m), "--n", "4", "--nu", "0.3",
+                "--seed", "1", "--experiments", "100"]
+        code, out = run_cli(capsys, argv + flags)
         assert code == 0
         _, plain = run_cli(capsys, argv)
-        sampled, unsampled = parse_csv_table(out), parse_csv_table(plain)
-        column = sampled.columns.index("sampling")
-        assert (sampled.rows[0][column], unsampled.rows[0][column]) == ("hypergeom", "iid")
-        sampled.rows[0][column] = "iid"
-        assert sampled.rows == unsampled.rows
+        flagged, unflagged = parse_csv_table(out), parse_csv_table(plain)
+        n_paths = 4 if reads_n else None
+        want = analytic_error(TrialConfig(strategy, m, 1, 0, n_paths=n_paths, nu=0.3))
+        assert float(cell(flagged, "analytic_error")) == want
+        if reads_n:
+            large_n = analytic_error(TrialConfig(strategy, m, 1, 0, nu=0.3))
+            assert float(cell(unflagged, "analytic_error")) == large_n != want
+        else:  # an ignored flag shows only in its own column and metadata line
+            ignored = {flag[2:] for flag in flags[::2]}
+
+            def rest(table):
+                return ({k: v for k, v in table.metadata.items() if k not in ignored},
+                        [v for c, v in zip(table.columns, table.rows[0]) if c not in ignored])
+            assert rest(flagged) == rest(unflagged)
 
     def test_implicit_seed_is_recorded(self, capsys):
         code, out = run_cli(capsys, ["mc", "--strategy", "classical-dj", "--m", "3",

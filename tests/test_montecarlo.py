@@ -133,7 +133,7 @@ class TestRunExperiment:
     def test_exact_n_likelihood_calibration(self):
         config = TrialConfig(
             "quantum-dj", m=2, experiments=200_000, seed=17,
-            nu=0.5, n_paths=50, likelihood="exact-n",
+            nu=0.5, n_paths=50,
         )
         result = run_experiment(config)
         assert result.analytic_error != pytest.approx(0.125, abs=1e-4)
@@ -141,22 +141,16 @@ class TestRunExperiment:
 
     def test_without_replacement_calibration(self):
         config = TrialConfig(
-            "classical-dj", m=5, experiments=200_000, seed=18,
-            n_paths=1000, sampling="hypergeom",
+            "classical-dj", m=5, experiments=200_000, seed=18, n_paths=1000,
         )
         result = run_experiment(config)
         assert abs(result.z_score) <= 4
 
     def test_sampling_mode_gap_is_small(self):
         # without-replacement and independent sampling agree to O(m^2/N)
-        iid = analytic_error(
-            TrialConfig("classical-dj", m=5, experiments=1, seed=0, sampling="iid")
-        )
+        iid = analytic_error(TrialConfig("classical-dj", m=5, experiments=1, seed=0))
         hyper = analytic_error(
-            TrialConfig(
-                "classical-dj", m=5, experiments=1, seed=0,
-                n_paths=1000, sampling="hypergeom",
-            )
+            TrialConfig("classical-dj", m=5, experiments=1, seed=0, n_paths=1000)
         )
         assert iid == pytest.approx(2**-5)
         assert abs(hyper - iid) <= 25 / 1000
@@ -169,10 +163,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             TrialConfig("quantum-dj", m=2, experiments=10, seed=0, truth="epsilon")
         with pytest.raises(ValueError):
-            TrialConfig(
-                "classical-dj", m=100, experiments=10, seed=0,
-                n_paths=50, sampling="hypergeom",
-            )
+            TrialConfig("classical-dj", m=100, experiments=10, seed=0, n_paths=50)
 
     def test_result_fields_are_consistent(self):
         config = TrialConfig("quantum-dj", m=1, experiments=10_000, seed=20, nu=0.3)
@@ -195,7 +186,7 @@ def binom_cdf(m, p):
 def hypergeom_cdf(n_total, m, hypothesis):
     """Table of the +1 count in m of N readings drawn without replacement."""
     config = TrialConfig("classical-eps", m=m, experiments=1, seed=0, epsilon=0.2,
-                         n_paths=n_total, sampling="hypergeom")
+                         n_paths=n_total)
     return np.cumsum(_count_pmf(config, hypothesis))
 
 
@@ -262,48 +253,45 @@ KERNEL_CONFIGS = [
     dict(strategy="quantum-dj", m=3, nu=0.0),
     dict(strategy="quantum-dj", m=2, nu=0.7, truth="constant"),
     dict(strategy="quantum-dj", m=2, nu=0.7, truth="balanced"),
-    dict(strategy="quantum-dj", m=3, nu=0.3, likelihood="exact-n", n_paths=64),
+    dict(strategy="quantum-dj", m=3, nu=0.3, n_paths=64),
     dict(strategy="classical-dj", m=1),
     dict(strategy="classical-dj", m=2),
     dict(strategy="classical-dj", m=2, truth="balanced"),
     dict(strategy="classical-dj", m=5, truth="constant"),
-    dict(strategy="classical-dj", m=8, sampling="hypergeom", n_paths=10),
-    dict(strategy="classical-dj", m=500, sampling="hypergeom", n_paths=1000,
-         truth="balanced"),
+    dict(strategy="classical-dj", m=8, n_paths=10),
+    dict(strategy="classical-dj", m=500, n_paths=1000, truth="balanced"),
     dict(strategy="classical-eps", m=1, epsilon=0.5),
     dict(strategy="classical-eps", m=40, epsilon=0.2),
     dict(strategy="classical-eps", m=40, epsilon=0.2, truth="balanced"),
     dict(strategy="classical-eps", m=40, epsilon=0.2, truth="epsilon"),
-    dict(strategy="classical-eps", m=8, epsilon=0.2, sampling="hypergeom", n_paths=10),
-    dict(strategy="classical-eps", m=90, epsilon=0.2, sampling="hypergeom", n_paths=100),
+    dict(strategy="classical-eps", m=8, epsilon=0.2, n_paths=10),
+    dict(strategy="classical-eps", m=90, epsilon=0.2, n_paths=100),
     dict(strategy="quantum-eps", m=1, epsilon=0.5, nu=0.9),
     dict(strategy="quantum-eps", m=50, epsilon=0.2, nu=1.0),
     dict(strategy="quantum-eps", m=100, epsilon=0.1, truth="epsilon"),
     dict(strategy="quantum-eps", m=100, epsilon=0.1, truth="balanced"),
-    dict(strategy="quantum-eps", m=40, epsilon=0.2, nu=0.3, likelihood="exact-n",
-         n_paths=100),
+    dict(strategy="quantum-eps", m=40, epsilon=0.2, nu=0.3, n_paths=100),
 ]
 KERNEL_IDS = ["-".join(str(v) for v in kwargs.values()) for kwargs in KERNEL_CONFIGS]
 
 
 @st.composite
 def kernel_cases(draw):
-    """A valid config: any strategy, truth, sampling and likelihood."""
+    """A valid config: any strategy and truth, at large N or an even N."""
     strategy = draw(st.sampled_from(sorted(_RULES)))
     biased = strategy.endswith("-eps")
-    n_paths = 2 * draw(st.integers(2, 500))
-    sampling = draw(st.sampled_from(["iid", "hypergeom"]))
-    k_plus = draw(st.integers(n_paths // 2 + 1, n_paths - 1))
+    n = 2 * draw(st.integers(2, 500))  # epsilon is a composition of n paths
+    n_paths = draw(st.none() | st.just(n))
+    k_plus = draw(st.integers(n // 2 + 1, n - 1))
+    draws_shifters = n_paths is not None and strategy.startswith("classical")
     return TrialConfig(
         strategy,
-        m=draw(st.integers(1, n_paths if sampling == "hypergeom" else 2000)),
+        m=draw(st.integers(1, n if draws_shifters else 2000)),
         experiments=draw(st.integers(1, 150_000)),
         seed=draw(st.integers(0, 2**64 - 1)),
         n_paths=n_paths,
         nu=draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0, 1)),
-        epsilon=(2 * k_plus - n_paths) / n_paths if biased else None,
-        likelihood=draw(st.sampled_from(["idealized", "exact-n"])),
-        sampling=sampling,
+        epsilon=(2 * k_plus - n) / n if biased else None,
         truth=draw(st.sampled_from(["prior", "balanced", "epsilon" if biased else "constant"])),
     )
 
@@ -356,21 +344,21 @@ def region_error(config):
 
 
 class TestNoiseFreeRegionCheck:
-    # sampling only moves the classical laws, the likelihood the quantum ones
+    # N moves the classical laws by drawing without replacement, the quantum ones
+    # by the finite-N exit laws
     @pytest.mark.parametrize("strategy, mode", [
         (strategy, mode) for strategy in sorted(_RULES)
         for mode in ("iid", "hypergeom" if strategy.startswith("classical") else "exact-n")
     ])
     def test_analytic_error_is_error_region_mass(self, strategy, mode):
-        flags = {"iid": {}, "hypergeom": {"sampling": "hypergeom", "n_paths": 1000},
-                 "exact-n": {"likelihood": "exact-n", "n_paths": 100}}[mode]
+        n_paths = {"iid": None, "hypergeom": 1000, "exact-n": 100}[mode]
         biased = strategy.endswith("-eps")
         worst = 0.0
         for truth, m, nu in itertools.product(
                 ("prior", "balanced", "epsilon" if biased else "constant"),
                 (1, 2, 7, 50, 200), (0.3, 0.9, 1.0)):
             config = TrialConfig(strategy, m, 1, 0, nu=nu, epsilon=0.2 if biased else None,
-                                 truth=truth, **flags)
+                                 n_paths=n_paths, truth=truth)
             worst = max(worst, abs(analytic_error(config) - region_error(config)))
         assert worst <= 1e-12
 
@@ -392,8 +380,7 @@ class TestValidation:
     @pytest.mark.parametrize("n_paths", [0, -1])
     def test_path_count_below_one_rejected(self, n_paths):
         with pytest.raises(ValueError, match="n_paths"):
-            TrialConfig("quantum-dj", m=2, experiments=10, seed=1, n_paths=n_paths,
-                        likelihood="exact-n")
+            TrialConfig("quantum-dj", m=2, experiments=10, seed=1, n_paths=n_paths)
 
     @pytest.mark.parametrize("strategy, n_paths, kwargs", [
         ("classical-dj", 101, {}), ("classical-eps", 105, {"epsilon": 0.2}),
@@ -406,7 +393,7 @@ class TestValidation:
         monkeypatch.setattr(cohwalk.montecarlo, "_uniform_blocks", no_sampling)
         with pytest.raises(ValueError, match="even number of paths"):
             run_experiment(TrialConfig(strategy, m=4, experiments=10**8, seed=1,
-                                       n_paths=n_paths, sampling="hypergeom", **kwargs))
+                                       n_paths=n_paths, **kwargs))
 
     @pytest.mark.parametrize("strategy, n_paths, kwargs, message", [
         ("quantum-dj", 101, {}, "^balanced patterns need an even number of paths$"),
@@ -418,28 +405,14 @@ class TestValidation:
     def test_exact_n_needs_each_pattern_to_exist(self, strategy, n_paths, kwargs, message):
         with pytest.raises(ValueError, match=message):
             TrialConfig(strategy, m=3, experiments=10, seed=1, n_paths=n_paths, nu=0.3,
-                        likelihood="exact-n", **kwargs)
-        # the idealized laws do not read N
-        TrialConfig(strategy, m=3, experiments=10, seed=1, n_paths=n_paths, nu=0.3, **kwargs)
-
-    @pytest.mark.parametrize("strategy, kwargs, finite_n", [
-        ("quantum-dj", {}, None),
-        ("quantum-dj", {"sampling": "hypergeom"}, None),
-        ("quantum-dj", {"likelihood": "exact-n"}, 4),
-        ("classical-dj", {}, None),
-        ("classical-dj", {"likelihood": "exact-n"}, None),
-        ("classical-dj", {"sampling": "hypergeom"}, 4),
-    ])
-    def test_finite_n_follows_the_strategy(self, strategy, kwargs, finite_n):
-        # exit laws read N under exact-n, shifter draws under hypergeom; nothing else does
-        config = TrialConfig(strategy, m=3, experiments=10, seed=1, n_paths=4, **kwargs)
-        assert config.finite_n == finite_n
+                        **kwargs)
+        # the large-N laws read no N
+        TrialConfig(strategy, m=3, experiments=10, seed=1, nu=0.3, **kwargs)
 
     def test_more_runs_than_paths_only_limit_draws(self):
-        TrialConfig("quantum-dj", m=5, experiments=10, seed=1, n_paths=4, sampling="hypergeom")
+        TrialConfig("quantum-dj", m=5, experiments=10, seed=1, n_paths=4)
         with pytest.raises(ValueError, match="^cannot sample more shifters than paths$"):
-            TrialConfig("classical-dj", m=5, experiments=10, seed=1, n_paths=4,
-                        sampling="hypergeom")
+            TrialConfig("classical-dj", m=5, experiments=10, seed=1, n_paths=4)
 
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):

@@ -59,6 +59,9 @@ def _decide():
                "--n", "2000"]
     yield ["decide", "--m-range", "1:4", "--nu-range", "0.5", "--mode", "exact-n",
            "--n", "6", "--format", "json"]
+    # a float range stops at or before its stop: 0, 0.3; and 0, 0.1, 0.2, 0.3
+    yield ["decide", "--m-range", "1", "--nu-range", "0:0.5:0.3"]
+    yield ["decide", "--m-range", "1", "--nu-range", "0:0.3:0.1"]
 
 
 def _epsilon():
@@ -71,6 +74,7 @@ def _ensemble():
     yield ["ensemble", "--n-list", f"100,1000,{2**53},{2**53 + 2},{10**20},{10**31}",
            "--m", "10"]
     yield ["ensemble", "--n-list", "20,40,400", "--m", "2", "--p", "0", "--format", "json"]
+    yield ["ensemble", "--n-list", "1000,1000", "--m", "10"]  # not increasing: exits 2
 
 
 def _errors():
