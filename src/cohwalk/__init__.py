@@ -13,6 +13,21 @@ cross-checks for all of them.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# No cohwalk BLAS call can use a thread pool, and idle OpenBLAS workers spin on
+# the CPU.  Where cohwalk loads numpy and no thread count is set, OpenBLAS gets
+# one thread: it reads the variable only as it loads, so it is unset right after.
+_PIN = "numpy" not in sys.modules and not {
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+if _PIN:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy  # noqa: E402
+if _PIN:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+del os, sys, numpy, _PIN
+
 from .walk import (
     BoundaryError,
     PhasePattern,

@@ -206,11 +206,11 @@ def cmd_decide(args):
     ms = _trials(args.m_range, "--m-range")
     nus = _float_list(args.nu_range, "--nu-range")
     n_paths = args.n if args.mode == "exact-n" else None
+    # exact-n switches the classical side to without-replacement sampling
+    c_errs = decision.classical_errors(ms, n_paths)
     rows = []
-    for m in ms:
+    for m, c_err in zip(ms, c_errs):
         threshold = decision.coherence_threshold(m)
-        # exact-n switches the classical side to without-replacement sampling
-        c_err = decision.classical_error(m, n_paths)
         for nu in nus:
             q_err = float(decision.quantum_error(m, nu, n_paths=n_paths))
             post_c, _ = decision.quantum_posterior_all_zero(m, nu, n_paths=n_paths)
@@ -225,14 +225,16 @@ def cmd_decide(args):
 
 def cmd_epsilon(args):
     ms = _trials(args.m_range, "--m-range")
+    tails = None
     rows = []
     for m in ms:
         miss = eps_mod.quantum_miss_probability(m, args.epsilon, args.nu)
         bounds = eps_mod.classical_error_bounds(m, args.epsilon)
         exact_fe = exact_fb = dominance_dev = None
         if args.exact_tails:
-            tails = eps_mod.exact_tail_probabilities(m, args.epsilon)
-            exact_fe, exact_fb = tails.false_eps, tails.false_bal
+            if tails is None:  # every m's tails at once, after the first m's checks above
+                tails = iter(eps_mod.exact_tails(ms, args.epsilon))
+            exact_fe, exact_fb = next(tails)
             dominance_dev = max(exact_fe - bounds.chernoff_false_eps,
                                 exact_fb - bounds.chernoff_false_bal)
         rows.append(dict(
@@ -257,7 +259,9 @@ def cmd_ensemble(args):
             raise ValueError(f"--m {args.m} too large for N={n}: need m <= N/10")
         k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
         law = ensemble.hypergeometric_pmf(n, k_plus, args.m)
-        gap = ensemble.convergence_gap(n, args.p, args.m, hypergeometric=law)
+        if n == ns[0]:  # the binomial limit is the same for every N
+            binomial = ensemble.binomial_pmf(args.m, float(args.p))
+        gap = ensemble.convergence_gap(n, args.p, args.m, law, binomial)
         ratio = gap / previous_gap if previous_gap else None  # no ratio after a zero gap
         decreasing_ok = None if previous_gap is None else (
             gap < previous_gap or gap <= TOLERANCES["decreasing"])

@@ -25,31 +25,39 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decoherence import detection_probability
-from .ensemble import EnsembleParams, hypergeometric_prob
+from .ensemble import _hypergeometric_stack, _padded
 from .walk import plus_count
 
 
-def _all_same_given_balanced(m, n_paths=None):
-    """P(all m sampled shifters agree | balanced pattern): 2^(1-m), or with
-    ``n_paths`` twice the count law's float term at m, O(m)."""
+def _all_same_given_balanced(ms, n_paths=None):
+    """P(all m sampled shifters agree | balanced pattern) for each m of ``ms``:
+    2^(1-m), or with ``n_paths`` twice the count law's float term at m, O(m),
+    every m from one kernel call up to its budget."""
     if n_paths is None:
-        return 2.0 ** (1 - m)
-    half = Fraction(plus_count("balanced", n_paths), n_paths)
-    if m > n_paths:
+        return [2.0 ** (1 - m) for m in ms]
+    half = plus_count("balanced", n_paths)
+    if max(ms) > n_paths:
         raise ValueError("cannot sample more shifters than paths")
-    return 2 * hypergeometric_prob(EnsembleParams(n_paths, half, m, m))
+    groups = _hypergeometric_stack([(n_paths, half, m, m, m)] for m in ms)
+    return [2 * _padded(m, m, *law)[0] for m, [law] in zip(ms, groups)]
 
 
-def classical_error(m, n_paths=None):
-    """Error probability of "guess constant iff all m readings agree".
+def classical_errors(ms, n_paths=None):
+    """Error probability of "guess constant iff all m readings agree", for
+    each m of ``ms``.
 
     The rule only errs on a balanced pattern that happens to give m equal
     readings, so the error is 1/2 * P(all same | balanced), which is 2^-m
-    under independent sampling.  The result is a float.
+    under independent sampling.  Each error is a float.
     """
-    if m < 1:
+    if min(ms) < 1:
         raise ValueError("m must be at least 1")
-    return _all_same_given_balanced(m, n_paths) / 2
+    return [p / 2 for p in _all_same_given_balanced(ms, n_paths)]
+
+
+def classical_error(m, n_paths=None):
+    """``classical_errors`` for one m."""
+    return classical_errors([m], n_paths)[0]
 
 
 def no_exit_likelihoods(first, m, nu, epsilon=None, n_paths=None):

@@ -22,11 +22,14 @@ range of counts (one count, 0..m, or the counts a tail sums) that builds
 only those within sqrt(373 m) of the law's mean: by Hoeffding's inequality
 (W. Hoeffding, JASA 58, 1963), which also holds for draws without
 replacement, each count farther out has probability below e^-746 < 2^-1075
-and a float term of exactly 0.0.  A tail thus costs O(sqrt m).
+and a float term of exactly 0.0.  A tail thus costs O(sqrt m).  A sweep
+over m hands the builder every m's laws at once, and each kernel call
+takes as many whole laws as fit in a fixed budget of counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,7 +86,7 @@ def hypergeometric_prob(params):
     have probability 0 rather than raising.
     """
     j = params.m_plus
-    return _hypergeometric_terms(params.n_total, params.n_plus, params.m, j, j)[0]
+    return hypergeometric_pmf(params.n_total, params.n_plus, params.m, j, j)[0]
 
 
 # T(y) = log y! - (y log y - y) for y = 0..15, correctly rounded
@@ -138,20 +141,20 @@ def _bd0(x, mu):
     return out
 
 
-def _log_binomial(x, n, p, q):
+def _log_binomial(x, sizes, n, p, q):
     """log b(x; n, p) with q = 1 - p, at integer arrays 0 <= x <= n.
 
     Loader's form T(n) - T(x) - T(n-x) - bd0(x, np) - bd0(n-x, nq), with x,
-    n - x and n stacked so that each piece runs once.  ``n`` is a float
-    array of one count or one per x: exact below 2^53, and past int64.
-    ``p`` and ``q`` are floats, or float arrays of one per x.
+    n - x and n stacked so that each piece runs once.  Law i of the float
+    arrays ``n`` (exact below 2^53, and past int64), ``p`` and ``q`` holds
+    the next ``sizes[i]`` counts of x.
     """
     size = len(x)
-    y = np.concatenate((x, n - x, n))
+    y = np.concatenate((x, np.repeat(n, sizes) - x, n))
     tail = _stirling_tail(y)
-    mean = (np.reshape((p, q), (2, -1)) * (y[:size] + y[size:2 * size])).ravel()  # x + (n-x) = n
-    sums = tail[:2 * size] + _bd0(y[:2 * size], mean)
-    return tail[2 * size:] - sums[:size] - sums[size:]
+    mean = np.repeat((p, q), sizes, axis=1) * (y[:size] + y[size:2 * size])  # x + (n-x) = n
+    sums = tail[:2 * size] + _bd0(y[:2 * size], mean.ravel())
+    return np.repeat(tail[2 * size:], sizes) - sums[:size] - sums[size:]
 
 
 def _window(m, mean, a, b, lo, hi):
@@ -160,79 +163,108 @@ def _window(m, mean, a, b, lo, hi):
     return np.arange(max(a, lo, math.ceil(mean - r)), min(b, hi, math.floor(mean + r)) + 1)
 
 
-def _padded(a, b, terms, windows):
-    """A one-law stack's terms, as the list for a..b with 0.0 elsewhere."""
-    lo = int(windows[0][0]) if terms else b + 1
+_BUDGET = 1 << 12  # counts x per kernel call, so that its arrays stay in cache
+
+
+def _stacked(groups, window, cost, kernel):
+    """Per group of laws, each law's window and their terms as a list, lazily:
+    one ``kernel(laws, windows)`` call per run of consecutive whole groups
+    that cost at most _BUDGET counts x together (a costlier group runs alone).
+    ``window(*law)`` gives a law's counts, and ``cost(window)`` their x."""
+    run, total = [], 0
+    for group in groups:
+        windows = [window(*law) for law in group]
+        size = sum(map(cost, windows))
+        if run and total + size > _BUDGET:
+            yield from _run(run, kernel)
+            run, total = [], 0
+        run.append((group, windows))
+        total += size
+    yield from _run(run, kernel) if run else ()
+
+
+def _run(run, kernel):
+    """``_stacked``'s groups of one run, from one kernel call."""
+    laws, windows = (list(itertools.chain.from_iterable(c)) for c in zip(*run))
+    terms = iter(kernel(laws, windows).tolist())
+    return [[(w, list(itertools.islice(terms, len(w)))) for w in ws] for _, ws in run]
+
+
+def _padded(a, b, window, terms):
+    """A law's terms, as the list for a..b with 0.0 elsewhere."""
+    lo = int(window[0]) if terms else b + 1
     return [0.0] * (lo - a) + terms + [0.0] * (b + 1 - lo - len(terms))
 
 
-def _hypergeometric_stack(n, m, laws):
-    """``hypergeometric_prob`` over the window of each law (k, a, b), as one
-    list of every law's terms in turn, and the windows: one kernel call.
-    """
-    windows = [_window(m, m * k / n, a, b, m - (n - k), k) for k, a, b in laws]
-    j, sizes, ks = np.concatenate(windows), [len(w) for w in windows], [k for k, _, _ in laws]
-    # b(j; k, m/n) b(m-j; n-k, m/n) / b(m; n, m/n), one normalizer for every law
-    counts = np.repeat(np.array(ks + [n - k for k in ks] + [n], float), sizes + sizes + [1])
-    arg = _log_binomial(np.concatenate((j, m - j, [m])), counts, m / n, (n - m) / n)
-    return np.exp(arg[:len(j)] + arg[len(j):-1] - arg[-1]).tolist(), windows
+def _hypergeometric_kernel(laws, windows):
+    # b(j; k, m/n) b(m-j; n-k, m/n) / b(m; n, m/n), three binomial laws per law
+    n, k, m, p, q = zip(*((n, k, m, m / n, (n - m) / n) for n, k, m, _, _ in laws))
+    j, sizes = np.concatenate(windows), [len(w) for w in windows]
+    arg = _log_binomial(np.concatenate((j, np.repeat(m, sizes) - j, m)), sizes * 2 + [1] * len(m),
+                        np.array(k + tuple(total - plus for total, plus in zip(n, k)) + n, float),
+                        np.tile(p, 3), np.tile(q, 3))
+    return np.exp(arg[:len(j)] + arg[len(j):2 * len(j)] - np.repeat(arg[2 * len(j):], sizes))
 
 
-def _hypergeometric_terms(n, k, m, a, b):
-    """``hypergeometric_prob`` for the counts j = a..b, as a list."""
-    return _padded(a, b, *_hypergeometric_stack(n, m, [(k, a, b)]))
+def _hypergeometric_stack(groups):
+    """``hypergeometric_prob`` over the window of each law (n, k, m, a, b) of
+    each group, as ``_stacked`` gives them."""
+    def window(n, k, m, a, b):  # a count j has j <= k, j <= m and m - j <= n - k
+        return _window(m, m * k / n, a, b, m - (n - k), min(k, m))
+
+    return _stacked(groups, window, lambda w: 2 * len(w) + 1, _hypergeometric_kernel)
 
 
-def hypergeometric_pmf(n, k, m):
-    """``hypergeometric_prob`` for every count 0..m, as a list.
+def hypergeometric_pmf(n, k, m, a=0, b=None):
+    """``hypergeometric_prob`` for the counts a..b (all of 0..m by default), as a list.
 
     ``k`` is the number of +1 entries among the n.  Every entry equals
     the single-count call; infeasible counts are 0.0.
     """
-    return _hypergeometric_terms(n, k, m, 0, m)
+    b = m if b is None else b
+    return _padded(a, b, *next(_hypergeometric_stack([[(n, k, m, a, b)]]))[0])
 
 
 def binomial_prob(m, m_plus, p):
     """Independent-sample probability C(m, m_plus) p^m_plus (1-p)^(m-m_plus)."""
-    return _binomial_terms(m, p, m_plus, m_plus)[0]
+    return binomial_pmf(m, p, m_plus, m_plus)[0]
 
 
-def _binomial_stack(m, laws):
-    """``binomial_prob`` over the window of each law (p, a, b), as one list of
-    every law's terms in turn, and the counts of each: one kernel call.  A
-    certain law (p = 0 or 1) is a point mass, so its window is its one count,
-    where the kernel gives exactly 1.0.  Each p is taken as a float.
+def _binomial_kernel(laws, windows):
+    m, p = np.array([law[:2] for law in laws], float).T
+    return np.exp(_log_binomial(np.concatenate(windows), [len(w) for w in windows], m, p, 1 - p))
+
+
+def _binomial_stack(groups):
+    """``binomial_prob`` over the window of each law (m, p, a, b) of each
+    group, as ``_stacked`` gives them.  A certain law (p = 0 or 1) is a point
+    mass, so its window is its one count, where the kernel gives exactly
+    1.0.  Each p is taken as a float.
     """
-    laws = [(float(p), a, b) for p, a, b in laws]
-    windows = [_window(m if 0 < p < 1 else 0, m * p, a, b, 0, m) for p, a, b in laws]
-    p = np.repeat([p for p, _, _ in laws], [len(w) for w in windows])
-    terms = np.exp(_log_binomial(np.concatenate(windows), np.float64([m]), p, 1 - p))
-    return terms.tolist(), windows
+    groups = ([(m, float(p), a, b) for m, p, a, b in group] for group in groups)
+    return _stacked(groups, lambda m, p, a, b: _window(m if 0 < p < 1 else 0, m * p, a, b, 0, m),
+                    len, _binomial_kernel)
 
 
-def _binomial_terms(m, p, a, b):
-    """``binomial_prob`` for the counts j = a..b, as a list (0.0 outside 0..m)."""
-    return _padded(a, b, *_binomial_stack(m, [(p, a, b)]))
-
-
-def binomial_pmf(m, p):
-    """``binomial_prob`` for every count 0..m, as a list; the certain cases
-    p = 0 and p = 1 are a point mass.
+def binomial_pmf(m, p, a=0, b=None):
+    """``binomial_prob`` for the counts a..b (all of 0..m by default), as a
+    list, 0.0 outside 0..m; the certain cases p = 0 and p = 1 are a point mass.
     """
-    return _binomial_terms(m, p, 0, m)
+    b = m if b is None else b
+    return _padded(a, b, *next(_binomial_stack([[(m, p, a, b)]]))[0])
 
 
-def convergence_gap(n_total, p, m, hypergeometric=None):
+def convergence_gap(n_total, p, m, hypergeometric=None, binomial=None):
     """Worst-case |hypergeometric - binomial| over all subsequence counts.
 
     Requires m <= n_total / 10 so the independent-sample comparison is in
     its domain of validity.  The gap shrinks like 1/n_total for fixed
     (m, p).  A caller that has built ``hypergeometric_pmf`` for this
-    composition passes it as ``hypergeometric``, and it is not built again.
+    composition or ``binomial_pmf(m, p)`` passes it, not to build it again.
     """
     if m > n_total / 10:
         raise ValueError("convergence_gap needs m <= n_total / 10")
     if hypergeometric is None:
         hypergeometric = hypergeometric_pmf(n_total, EnsembleParams(n_total, p, m, 0).n_plus, m)
-    pairs = zip(hypergeometric, binomial_pmf(m, float(p)))
-    return max(abs(h - b) for h, b in pairs)
+    binomial = binomial_pmf(m, float(p)) if binomial is None else binomial
+    return max(abs(h - b) for h, b in zip(hypergeometric, binomial))

@@ -117,33 +117,39 @@ def classical_error_bounds(m, epsilon):
 
 
 def exact_tail_probabilities(m, epsilon, n_paths=None):
-    """Exact error probabilities of the threshold test by direct summation.
+    """``exact_tails`` for one m."""
+    return exact_tails([m], epsilon, n_paths)[0]
+
+
+def exact_tails(ms, epsilon, n_paths=None):
+    """Exact error probabilities of the threshold test by direct summation,
+    for each m of ``ms``.
 
     With ``n_paths`` unset the readings are independent (binomial counts
     with success probability 1/2 or (1+eps)/2); with it they are drawn
     without replacement from a fixed composition of n_paths shifters
     (hypergeometric counts).  Only the counts each tail sums are built
     (k_min..m under balance, 0..k_min-1 under bias, within the law's
-    window), each equal to its pmf entry, both tails from one kernel call.
-    ``math.fsum`` is correctly rounded in any order but fastest largest
-    term first (~0.09 ms against 1.6 ms for the 1,681-term biased tail at
-    m = 10^4, eps = 0.1), so the biased tail, which rises to k_min - 1, is
-    summed in reverse.
+    window), each equal to its pmf entry, the tails of many m from one
+    kernel call and summed as it ends.  ``math.fsum`` is correctly rounded
+    in any order but fastest largest term first (~0.09 ms against 1.6 ms for
+    the 1,681-term biased tail at m = 10^4, eps = 0.1), so the biased tail,
+    which rises to k_min - 1, is summed in reverse.
     """
-    if m < 1:
+    if min(ms) < 1:
         raise ValueError("m must be at least 1")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    k_min = detection_count_threshold(m, epsilon)
-
-    if n_paths is None:
-        tails, windows = _binomial_stack(m, [(0.5, k_min, m), ((1 + epsilon) / 2, 0, k_min - 1)])
-    else:
-        n = n_paths
-        if m > n:
-            raise ValueError("cannot sample more shifters than paths")
-        laws = [(plus_count("balanced", n), k_min, m),
-                (plus_count("epsilon", n, epsilon), 0, k_min - 1)]
-        tails, windows = _hypergeometric_stack(n, m, laws)
-    s = len(windows[0])
-    return TailProbabilities(math.fsum(tails[:s]), math.fsum(tails[s:][::-1]))
+    n = n_paths
+    if n is not None and max(ms) > n:
+        raise ValueError("cannot sample more shifters than paths")
+    shares = (0.5, (1 + epsilon) / 2) if n is None else (
+        plus_count("balanced", n), plus_count("epsilon", n, epsilon))
+    groups = []  # each m's balanced law over k_min..m, then its biased law over 0..k_min-1
+    for m in ms:
+        k_min = detection_count_threshold(m, epsilon)
+        groups.append([(m, share, a, b) if n is None else (n, share, m, a, b)
+                       for share, a, b in zip(shares, (k_min, 0), (m, k_min - 1))])
+    tails = (_binomial_stack if n is None else _hypergeometric_stack)(groups)
+    return [TailProbabilities(math.fsum(balanced), math.fsum(biased[::-1]))
+            for (_, balanced), (_, biased) in tails]

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import decision, epsilon as eps_mod
 from .decoherence import detection_probability
-from .ensemble import binomial_pmf, hypergeometric_pmf
+from .ensemble import _binomial_stack, _hypergeometric_stack, _padded
 from .walk import plus_count
 
 # strategy -> (first, second hypothesis), and the counts t, given (m, epsilon), at
@@ -134,24 +134,26 @@ def experiment_uniforms(seed, start, count):
     return pairs[:, 0], np.clip(pairs[:, 1], 1e-300, None)
 
 
-def _count_pmf(config, hypothesis):
-    """Law of the count statistic over 0..m under ``hypothesis``.
+def _count_pmfs(config):
+    """Laws of the count statistic over 0..m under each hypothesis, in
+    ``_RULES`` order, both from one kernel call.
 
     The count is the number of exits for the quantum strategies and the
     number of +1 readings for the classical ones; a constant pattern
     reads all +1 (both signs guess identically), a point mass at m.
     """
-    m, n = config.m, config.n_paths
+    m, n, eps = config.m, config.n_paths, config.epsilon
+    hypotheses, stack = _RULES[config.strategy][0], _binomial_stack
     if config.strategy.startswith("quantum"):
-        p = float(detection_probability(
-            hypothesis, config.nu, epsilon=config.epsilon, n_paths=n))
-        return binomial_pmf(m, p)
-    if n is not None:
-        k_plus = n if hypothesis == "constant" else plus_count(hypothesis, n, config.epsilon)
-        return hypergeometric_pmf(n, k_plus, m)
-    if hypothesis == "constant":
-        return binomial_pmf(m, 1.0)
-    return binomial_pmf(m, 0.5 if hypothesis == "balanced" else (1 + config.epsilon) / 2)
+        laws = [(m, detection_probability(h, config.nu, epsilon=eps, n_paths=n), 0, m)
+                for h in hypotheses]
+    elif n is None:
+        laws = [(m, 1.0 if h == "constant" else 0.5 if h == "balanced" else (1 + eps) / 2, 0, m)
+                for h in hypotheses]
+    else:
+        stack = _hypergeometric_stack
+        laws = [(n, n if h == "constant" else plus_count(h, n, eps), m, 0, m) for h in hypotheses]
+    return [_padded(0, m, *law) for law in next(stack([laws]))]
 
 
 def _error_regions(config):
@@ -162,10 +164,10 @@ def _error_regions(config):
     below the 1e-300 clip of u (t <= 0 too) is always passed and one at 1 or
     above (t > m too) never is, so both fold away.
     """
-    hypotheses, changes = _RULES[config.strategy]
+    changes = _RULES[config.strategy][1]
     regions = []
-    for wrong, hypothesis in zip((True, False), hypotheses):
-        cdf = np.cumsum(_count_pmf(config, hypothesis))
+    for wrong, pmf in zip((True, False), _count_pmfs(config)):
+        cdf = np.cumsum(pmf)
         cuts = [-math.inf if t <= 0 else math.inf if t > config.m else cdf[t - 1]
                 for t in changes(config.m, config.epsilon)]
         passed = sum(c < 1e-300 for c in cuts)
@@ -192,7 +194,7 @@ def _errors(config):
     the hypotheses in ``_RULES`` order."""
     strategy, m, n = config.strategy, config.m, config.n_paths
     if strategy == "classical-dj":  # a balanced pattern errs when all m readings agree
-        return 0.0, decision._all_same_given_balanced(m, n)
+        return 0.0, decision._all_same_given_balanced([m], n)[0]
     if strategy == "classical-eps":
         tails = eps_mod.exact_tail_probabilities(m, config.epsilon, n_paths=n)
         return tails.false_bal, tails.false_eps

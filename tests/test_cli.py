@@ -1,6 +1,7 @@
 """CLI tests: subcommand output, checks, exit codes, reproducibility."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -239,17 +240,45 @@ class TestEnsembleCommand:
 
 
     def test_each_law_built_once(self, capsys, monkeypatch):
-        # convergence_gap and mass_sum share one hypergeometric law per N
-        calls, build = [], cohwalk.ensemble.hypergeometric_pmf
+        # convergence_gap and mass_sum share one hypergeometric law per N, and
+        # every N shares the one binomial limit
+        calls = []
 
-        def counting_build(*args):
-            calls.append(args)
+        def counting_build(name, build, *args):
+            calls.append((name, *args))
             return build(*args)
 
-        monkeypatch.setattr(cohwalk.ensemble, "hypergeometric_pmf", counting_build)
+        for name in ("hypergeometric_pmf", "binomial_pmf"):
+            monkeypatch.setattr(cohwalk.ensemble, name, functools.partial(
+                counting_build, name, getattr(cohwalk.ensemble, name)))
         code, _ = run_cli(capsys, ["ensemble", "--n-list", "100,1000,10000", "--m", "10"])
         assert code == 0
-        assert calls == [(100, 50, 10), (1000, 500, 10), (10000, 5000, 10)]
+        assert calls == [("hypergeometric_pmf", 100, 50, 10), ("binomial_pmf", 10, 0.5),
+                         ("hypergeometric_pmf", 1000, 500, 10),
+                         ("hypergeometric_pmf", 10000, 5000, 10)]
+
+
+class TestKernelCalls:
+    """A run builds the count laws of all its m in one kernel call, not one per m."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--m-range", "1:10", "--nu-range", "0:1:0.1", "--mode", "exact-n",
+         "--n", "1000"],
+        ["epsilon", "--epsilon", "0.5", "--m-range", "1:50", "--nu", "0.8", "--exact-tails"],
+        ["mc", "--strategy", "quantum-eps", "--m", "50", "--epsilon", "0.2", "--nu", "0.5",
+         "--experiments", "1000", "--seed", "1"],
+    ], ids=["decide", "epsilon", "mc"])
+    def test_one_kernel_call_per_run(self, capsys, monkeypatch, argv):
+        calls, kernel = [], cohwalk.ensemble._log_binomial
+
+        def counting_kernel(x, *rest):
+            calls.append(len(x))
+            return kernel(x, *rest)
+
+        monkeypatch.setattr(cohwalk.ensemble, "_log_binomial", counting_kernel)
+        code, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestLargeCountLaws:

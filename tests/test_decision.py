@@ -139,11 +139,11 @@ class TestClassical:
         # the error is P(all m draws +1), whose exact rational is the count law's term at m
         exact = hypergeometric_prob_exact(EnsembleParams(n, 1 / 2, m, m))
         assert classical_error(m, n) == pytest.approx(float(exact), rel=1e-12, abs=0)
-        assert _all_same_given_balanced(m, n) == 2 * classical_error(m, n)
+        assert _all_same_given_balanced([m], n) == [2 * classical_error(m, n)]
 
     def test_all_agree_is_not_a_doubled_error(self):
         # mc reads P(all agree) itself: 2^-1074 is the least subnormal, and its half rounds to 0
-        assert _all_same_given_balanced(1075) == 2.0 ** -1074
+        assert _all_same_given_balanced([1075]) == [2.0 ** -1074]
         assert classical_error(1075) == 0.0
 
 

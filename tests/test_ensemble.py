@@ -3,10 +3,12 @@
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cohwalk import ensemble
@@ -223,8 +225,8 @@ class TestScalarReference:
         m = 10**4
         assert binomial_pmf(m, 0.0) == [1.0] + [0.0] * m
         assert binomial_pmf(m, 1.0) == [0.0] * m + [1.0]
-        assert ensemble._binomial_terms(m, 0.0, 1, m) == [0.0] * m
-        assert ensemble._binomial_terms(m, 1, m - 2, m + 1) == [0.0, 0.0, 1.0, 0.0]
+        assert binomial_pmf(m, 0.0, 1, m) == [0.0] * m
+        assert binomial_pmf(m, 1, m - 2, m + 1) == [0.0, 0.0, 1.0, 0.0]
 
 
 class TestRangedTerms:
@@ -237,14 +239,83 @@ class TestRangedTerms:
         pmf = hypergeometric_pmf(n, k, m)
         for a, b in [(0, m), (0, m // 3), (m // 3, m), (m // 2, m // 2), (m // 2, m // 2 - 1),
                      (0, -1), (m + 1, m)]:
-            assert ensemble._hypergeometric_terms(n, k, m, a, b) == pmf[a:b + 1]
+            assert hypergeometric_pmf(n, k, m, a, b) == pmf[a:b + 1]
+
+    @pytest.mark.parametrize("n, k, m", [(10, 5, 2), (200, 200, 1), (201, 100, 30)])
+    def test_hypergeometric_counts_past_m_are_zero(self, n, k, m):
+        assert hypergeometric_pmf(n, k, m, m - 1, m + 2) == hypergeometric_pmf(n, k, m)[-2:] + [0.0] * 2
 
     @pytest.mark.parametrize("p", [0, 1, 0.5, 0.55, Fraction(2, 3)])
     def test_binomial_slices(self, p):
         m = 40
         pmf = binomial_pmf(m, p)
         for a, b in [(0, m), (0, 9), (30, m), (20, 20), (20, 19), (0, -1)]:
-            assert ensemble._binomial_terms(m, p, a, b) == pmf[a:b + 1]
+            assert binomial_pmf(m, p, a, b) == pmf[a:b + 1]
+
+
+@st.composite
+def binomial_law(draw):
+    """(m, p, a, b): small and budget-sized m, point masses, and ranges that
+    may be empty or reach past 0..m."""
+    m = draw(st.integers(0, 40) | st.integers(8000, 20_000))
+    p = draw(st.sampled_from([0, 1, 0.5, Fraction(2, 3)]) | st.floats(1e-4, 1 - 1e-4))
+    a = draw(st.integers(-2, m + 2))
+    return m, p, a, draw(st.integers(a - 1, m + 2))
+
+
+@st.composite
+def hypergeometric_law(draw):
+    """(n, k, m, a, b) at N = 200, 201 and 10^5, ranges as for ``binomial_law``."""
+    n = draw(st.sampled_from([200, 201, 10**5]))
+    k = draw(st.integers(0, n))
+    m = draw(st.integers(0, min(n, 40)) | st.integers(min(n, 6000), min(n, 12_000)))
+    a = draw(st.integers(-2, m + 2))
+    return n, k, m, a, draw(st.integers(a - 1, m + 2))
+
+
+def _packed(costs, budget):
+    """Greedy runs of consecutive whole groups within ``budget``, as their costs."""
+    runs = []
+    for cost in costs:
+        if runs and runs[-1] + cost <= budget:
+            runs[-1] += cost
+        else:
+            runs.append(cost)
+    return runs
+
+
+class TestBatching:
+    """A batch of laws packed into several budget-sized kernel calls gives the
+    same windows and terms, ``==``, as each law built alone."""
+
+    def check(self, stack, cost, groups, budget):
+        alone = [[next(stack([[law]]))[0] for law in group] for group in groups]
+        calls, kernel = [], ensemble._log_binomial
+
+        def counting_kernel(x, *rest):
+            calls.append(len(x))
+            return kernel(x, *rest)
+
+        with mock.patch.object(ensemble, "_BUDGET", budget), \
+                mock.patch.object(ensemble, "_log_binomial", counting_kernel):
+            batched = list(stack(groups))
+        assert [[(w.tolist(), t) for w, t in g] for g in batched] == \
+            [[(w.tolist(), t) for w, t in g] for g in alone]
+        assert calls == _packed([sum(cost(w) for w, _ in g) for g in alone], budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(binomial_law(), min_size=1, max_size=3), min_size=1, max_size=8),
+           st.sampled_from([1, 50, ensemble._BUDGET]))
+    def test_binomial(self, groups, budget):
+        self.check(ensemble._binomial_stack, len, groups, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(hypergeometric_law(), min_size=1, max_size=3), min_size=1,
+                    max_size=8),
+           st.sampled_from([1, 50, ensemble._BUDGET]))
+    def test_hypergeometric(self, groups, budget):
+        # each law stacks its counts j, m - j and one normalizer
+        self.check(ensemble._hypergeometric_stack, lambda w: 2 * len(w) + 1, groups, budget)
 
 
 def _unwindowed(m, mean, a, b, lo, hi):
@@ -269,7 +340,7 @@ class TestHoeffdingWindow:
         windowed = binomial_pmf(m, p) if m <= 10**5 else None
         monkeypatch.setattr(ensemble, "_window", _unwindowed)
         assert ends
-        assert [ensemble._binomial_terms(m, p, j, j) for j in ends] == [[0.0]] * len(ends)
+        assert [binomial_pmf(m, p, j, j) for j in ends] == [[0.0]] * len(ends)
         if windowed is not None:
             assert windowed == binomial_pmf(m, p)
 
@@ -282,7 +353,7 @@ class TestHoeffdingWindow:
         windowed = hypergeometric_pmf(n, k, m)
         monkeypatch.setattr(ensemble, "_window", _unwindowed)
         assert ends
-        assert [ensemble._hypergeometric_terms(n, k, m, j, j) for j in ends] == [[0.0]] * len(ends)
+        assert [hypergeometric_pmf(n, k, m, j, j) for j in ends] == [[0.0]] * len(ends)
         assert windowed == hypergeometric_pmf(n, k, m)
 
 

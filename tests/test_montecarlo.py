@@ -18,12 +18,17 @@ from cohwalk.montecarlo import (
     MCResult,
     TrialConfig,
     _block_errors,
-    _count_pmf,
+    _count_pmfs,
     _error_regions,
     analytic_error,
     experiment_uniforms,
     run_experiment,
 )
+
+
+def _count_pmf(config, hypothesis):
+    """The count law under one of the config's two hypotheses."""
+    return dict(zip(_RULES[config.strategy][0], _count_pmfs(config)))[hypothesis]
 
 
 def _table_count(u, cdf):
@@ -309,8 +314,7 @@ class TestErrorRegionKernel:
         # u on each CDF step, one float either side of it, and the ends;
         # the kernel sees u = 0 unclipped, the reference the clipped 1e-300
         config = TrialConfig(experiments=1, seed=0, **kwargs)
-        steps = np.concatenate([np.cumsum(_count_pmf(config, h))
-                                for h in _RULES[config.strategy][0]])
+        steps = np.concatenate([np.cumsum(pmf) for pmf in _count_pmfs(config)])
         u = np.concatenate([steps, np.nextafter(steps, np.inf), np.nextafter(steps, -np.inf),
                             [0.0, 1e-300, 0.5, 1 - 2**-53]])
         u = u[(u >= 0) & (u < 1)]
