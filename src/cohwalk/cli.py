@@ -252,15 +252,17 @@ def cmd_ensemble(args):
     ns = _int_list(args.n_list, "--n-list")
     if any(a >= b for a, b in zip(ns, ns[1:])):  # decreasing_ok compares each gap to the last
         raise ValueError("--n-list must be strictly increasing")
-    rows = []
-    previous_gap = None
-    for n in ns:
+    plus = []
+    for n in ns:  # each N's rules in turn, so the first bad N is the one reported
         if args.m > n / 10:
             raise ValueError(f"--m {args.m} too large for N={n}: need m <= N/10")
-        k_plus = ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus
-        law = ensemble.hypergeometric_pmf(n, k_plus, args.m)
-        if n == ns[0]:  # the binomial limit is the same for every N
-            binomial = ensemble.binomial_pmf(args.m, float(args.p))
+        plus.append(ensemble.EnsembleParams(n, args.p, args.m, 0).n_plus)
+    laws = ensemble.hypergeometric_laws((n, k, args.m, 0, args.m) for n, k in zip(ns, plus))
+    binomial = ensemble.binomial_pmf(args.m, float(args.p))  # the same limit for every N
+    rows = []
+    previous_gap = None
+    for n, k_plus, (window, terms) in zip(ns, plus, laws):
+        law = ensemble.padded(0, args.m, window, terms)
         gap = ensemble.convergence_gap(n, args.p, args.m, law, binomial)
         ratio = gap / previous_gap if previous_gap else None  # no ratio after a zero gap
         decreasing_ok = None if previous_gap is None else (

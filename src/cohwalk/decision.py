@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decoherence import detection_probability
-from .ensemble import _hypergeometric_stack, _padded
+from .ensemble import hypergeometric_laws, padded
 from .walk import plus_count
 
 
@@ -38,8 +38,8 @@ def _all_same_given_balanced(ms, n_paths=None):
     half = plus_count("balanced", n_paths)
     if max(ms) > n_paths:
         raise ValueError("cannot sample more shifters than paths")
-    groups = _hypergeometric_stack([(n_paths, half, m, m, m)] for m in ms)
-    return [2 * _padded(m, m, *law)[0] for m, [law] in zip(ms, groups)]
+    laws = hypergeometric_laws((n_paths, half, m, m, m) for m in ms)
+    return [2 * padded(m, m, *law)[0] for m, law in zip(ms, laws)]
 
 
 def classical_errors(ms, n_paths=None):

@@ -20,10 +20,10 @@ forms.  G is rank one plus a diagonal, so ``overlaps`` returns it as an
 O(N) ``Overlaps`` record and ``rho_int`` returns a ``RhoInt`` record;
 every quantity here is a sum read off those records in O(N) time and
 memory, and no N x N matrix is built.  The oracle stores the joint state
-only over the marker configurations that hold amplitude: each path's
-transit takes its marker out of |0> once, so the three-step walk
-reaches N + 1 of the 2^N configurations, and the oracle runs up to
-N = ORACLE_MAX_PATHS = 512.
+only over the marker configurations that hold amplitude: the three-step
+walk transits every path in one step, which takes marker j out of |0>
+on path j alone, so it reaches N + 1 of the 2^N configurations, one
+column each, and the oracle runs up to N = ORACLE_MAX_PATHS = 512.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ class Overlaps:
 
 
 class RhoInt:
-    """rho_int as its pattern and ``Overlaps``: |entry (j, k)| = |G[k][j]| / (N+1)."""
+    """rho_int as its ``Overlaps``: |entry (j, k)| = |G[k][j]| / (N+1) for any pattern."""
 
-    def __init__(self, pattern, overlap):
-        self.n_paths, self.pattern, self.overlap = overlap.n_paths, pattern, overlap
+    def __init__(self, overlap):
+        self.n_paths, self.overlap = overlap.n_paths, overlap
 
     def off_diagonal_mass(self):
         return self.overlap.off_diagonal_mass() / (self.n_paths + 1)
@@ -120,11 +120,12 @@ def rho_int(pattern, overlap):
     Entry (j, k) is s_j * s_k * G[k][j] / (N+1).  The entry-tail
     component carries the remaining 1/(N+1) of the trace and is excluded
     from this block, so the trace is N/(N+1).  Returned as a ``RhoInt``
-    record of the pattern and the ``Overlaps``.
+    record of the ``Overlaps``: the signs do not change an entry's modulus,
+    which is all that the record's sums read.
     """
     if overlap.n_paths != pattern.n_paths:
         raise ValueError("overlap matrix does not match the pattern size")
-    return RhoInt(pattern, overlap)
+    return RhoInt(overlap)
 
 
 def coherence_l1(rho):
@@ -207,37 +208,25 @@ def detection_probability(promise, nu, epsilon=None, n_paths=None):
     raise ValueError(f"unknown promise {promise!r}")
 
 
-def _mark(state, configs, column, rows, paths, spec):
+def _mark(state, rows, paths, spec):
     """Map marker ``paths[i]`` from |0> to alpha|0> + beta|1> in row ``rows[i]``, for all i.
 
-    Column k of ``state`` holds the marker bitmask ``configs[k]``, a Python
-    int with marker j at bit N-1-j, and the dict ``column`` maps each
-    bitmask back to k; the rows must differ.  Appends each configuration
-    first reached to ``configs`` and ``column`` and returns the state with
-    a column for it.  Raises ``AssertionError`` if a row holds amplitude
-    on a configuration whose marker is already flipped: a marker leaves
-    |0> once, and the three-step walk never transits a path twice.
+    ``state`` is the one column with every marker in |0>; the rows must
+    differ.  Returns it widened to N + 1 columns: column 0 keeps every
+    marker in |0> and column j + 1 has marker j alone flipped.  The
+    three-step walk transits its paths in one step, so marking a state
+    that is already wide raises ``AssertionError``.
     """
-    n = spec.n_paths
-    t, held = np.nonzero(state[rows])
-    flipped = []
-    for i, k in zip(t.tolist(), held.tolist()):
-        bit = 1 << (n - 1 - int(paths[i]))
-        if configs[k] & bit:
-            raise AssertionError(f"marker {paths[i]} transited twice")
-        config = configs[k] | bit
-        if config not in column:
-            column[config] = len(configs)
-            configs.append(config)
-        flipped.append(column[config])
-    if len(configs) > state.shape[1]:
-        state = np.concatenate(
-            (state, np.zeros((len(state), len(configs) - state.shape[1]), complex)), axis=1)
-    r, path = rows[t], paths[t]
-    amp = state[r, held]
-    state[r, held] = spec.alphas[path] * amp
-    state[r, flipped] = spec.betas[path] * amp
-    return state
+    if not len(rows):
+        return state
+    if state.shape[1] != 1:
+        raise AssertionError("a second transit step: each marker leaves |0> once")
+    marked = np.zeros((len(state), spec.n_paths + 1), complex)
+    marked[:, 0] = state[:, 0]
+    amp = state[rows, 0]
+    marked[rows, 0] = spec.alphas[paths] * amp
+    marked[rows, paths + 1] = spec.betas[paths] * amp
+    return marked
 
 
 def full_tensor_oracle(pattern, spec):
@@ -247,8 +236,9 @@ def full_tensor_oracle(pattern, spec):
     for three steps, mapping marker j from |0> to alpha_j|0> + beta_j|1>
     on every transit of vertex j, then sums |amplitude|^2 on the exit
     edge over all marker configurations.  Exact partial trace, no
-    formulas.  Only the configurations that hold amplitude get a column,
-    N + 1 of the 2^N in the three-step walk.  Limited to
+    formulas.  The state is one column until the walk's transit step,
+    then N + 1: all markers in |0>, and marker j alone flipped for each
+    path j, the only configurations of the 2^N that it reaches.  Limited to
     N <= ORACLE_MAX_PATHS = 512, where the 4(N + 4) edge states by N + 1
     columns and a step's temporaries peak at ~45 MiB.
     """
@@ -260,7 +250,6 @@ def full_tensor_oracle(pattern, spec):
 
     graph = WalkGraph(n)
     table = transition_table(graph, pattern)
-    configs, column = [0], {0: 0}  # column i holds the marker bitmask configs[i]
     state = np.zeros((graph.n_states, 1), dtype=complex)
     state[table.a_in[0], 0] = 1.0  # |0,A>, markers all |0>
     norm = 1.0
@@ -269,7 +258,7 @@ def full_tensor_oracle(pattern, spec):
         transits = state[table.path_src].any(axis=-1)
         state, norm = step(state, table, norm)
         side, path = np.nonzero(transits)
-        state = _mark(state, configs, column, table.path_dst[side, path], path, spec)
+        state = _mark(state, table.path_dst[side, path], path, spec)
 
     # correctly rounded, so the sum does not depend on the column order
     return math.fsum((np.abs(state[table.b_out[0]]) ** 2).tolist())  # |B,N+1>

@@ -22,9 +22,11 @@ range of counts (one count, 0..m, or the counts a tail sums) that builds
 only those within sqrt(373 m) of the law's mean: by Hoeffding's inequality
 (W. Hoeffding, JASA 58, 1963), which also holds for draws without
 replacement, each count farther out has probability below e^-746 < 2^-1075
-and a float term of exactly 0.0.  A tail thus costs O(sqrt m).  A sweep
-over m hands the builder every m's laws at once, and each kernel call
-takes as many whole laws as fit in a fixed budget of counts.
+and a float term of exactly 0.0.  A tail thus costs O(sqrt m).
+
+``binomial_laws`` and ``hypergeometric_laws`` build a flat iterable of
+laws, such as every m of a sweep, as many whole laws per kernel call as
+fit in a fixed budget of counts; ``padded`` fills a law out to its range.
 """
 
 from __future__ import annotations
@@ -166,32 +168,31 @@ def _window(m, mean, a, b, lo, hi):
 _BUDGET = 1 << 12  # counts x per kernel call, so that its arrays stay in cache
 
 
-def _stacked(groups, window, cost, kernel):
-    """Per group of laws, each law's window and their terms as a list, lazily:
-    one ``kernel(laws, windows)`` call per run of consecutive whole groups
-    that cost at most _BUDGET counts x together (a costlier group runs alone).
+def _stacked(laws, window, cost, kernel):
+    """Each law's window and its terms as a list, lazily: one
+    ``kernel(laws, windows)`` call per run of consecutive whole laws that
+    cost at most _BUDGET counts x together (a costlier law runs alone).
     ``window(*law)`` gives a law's counts, and ``cost(window)`` their x."""
     run, total = [], 0
-    for group in groups:
-        windows = [window(*law) for law in group]
-        size = sum(map(cost, windows))
-        if run and total + size > _BUDGET:
+    for law in laws:
+        w = window(*law)
+        if run and total + cost(w) > _BUDGET:
             yield from _run(run, kernel)
             run, total = [], 0
-        run.append((group, windows))
-        total += size
+        run.append((law, w))
+        total += cost(w)
     yield from _run(run, kernel) if run else ()
 
 
 def _run(run, kernel):
-    """``_stacked``'s groups of one run, from one kernel call."""
-    laws, windows = (list(itertools.chain.from_iterable(c)) for c in zip(*run))
+    """``_stacked``'s (law, window) pairs of one run, from one kernel call."""
+    laws, windows = zip(*run)
     terms = iter(kernel(laws, windows).tolist())
-    return [[(w, list(itertools.islice(terms, len(w)))) for w in ws] for _, ws in run]
+    return [(w, list(itertools.islice(terms, len(w)))) for w in windows]
 
 
-def _padded(a, b, window, terms):
-    """A law's terms, as the list for a..b with 0.0 elsewhere."""
+def padded(a, b, window, terms):
+    """A law's (window, terms) pair as the list for a..b, with 0.0 elsewhere."""
     lo = int(window[0]) if terms else b + 1
     return [0.0] * (lo - a) + terms + [0.0] * (b + 1 - lo - len(terms))
 
@@ -206,13 +207,15 @@ def _hypergeometric_kernel(laws, windows):
     return np.exp(arg[:len(j)] + arg[len(j):2 * len(j)] - np.repeat(arg[2 * len(j):], sizes))
 
 
-def _hypergeometric_stack(groups):
-    """``hypergeometric_prob`` over the window of each law (n, k, m, a, b) of
-    each group, as ``_stacked`` gives them."""
+def hypergeometric_laws(laws):
+    """``hypergeometric_prob`` over the counts a..b of each law (n, k, m, a, b),
+    lazily, as a (window, terms) pair per law: the window is the counts of
+    a..b that can hold a nonzero float term, and ``padded(a, b, *pair)``
+    gives the whole list.  A law costs 2 len(window) + 1 counts x."""
     def window(n, k, m, a, b):  # a count j has j <= k, j <= m and m - j <= n - k
         return _window(m, m * k / n, a, b, m - (n - k), min(k, m))
 
-    return _stacked(groups, window, lambda w: 2 * len(w) + 1, _hypergeometric_kernel)
+    return _stacked(laws, window, lambda w: 2 * len(w) + 1, _hypergeometric_kernel)
 
 
 def hypergeometric_pmf(n, k, m, a=0, b=None):
@@ -222,7 +225,7 @@ def hypergeometric_pmf(n, k, m, a=0, b=None):
     the single-count call; infeasible counts are 0.0.
     """
     b = m if b is None else b
-    return _padded(a, b, *next(_hypergeometric_stack([[(n, k, m, a, b)]]))[0])
+    return padded(a, b, *next(hypergeometric_laws([(n, k, m, a, b)])))
 
 
 def binomial_prob(m, m_plus, p):
@@ -235,14 +238,14 @@ def _binomial_kernel(laws, windows):
     return np.exp(_log_binomial(np.concatenate(windows), [len(w) for w in windows], m, p, 1 - p))
 
 
-def _binomial_stack(groups):
-    """``binomial_prob`` over the window of each law (m, p, a, b) of each
-    group, as ``_stacked`` gives them.  A certain law (p = 0 or 1) is a point
-    mass, so its window is its one count, where the kernel gives exactly
-    1.0.  Each p is taken as a float.
+def binomial_laws(laws):
+    """``binomial_prob`` over the counts a..b of each law (m, p, a, b), as
+    ``hypergeometric_laws`` gives them, each law costing len(window).  A
+    certain law (p = 0 or 1) is a point mass, so its window is its one
+    count, where the kernel gives exactly 1.0.  Each p is taken as a float.
     """
-    groups = ([(m, float(p), a, b) for m, p, a, b in group] for group in groups)
-    return _stacked(groups, lambda m, p, a, b: _window(m if 0 < p < 1 else 0, m * p, a, b, 0, m),
+    laws = ((m, float(p), a, b) for m, p, a, b in laws)
+    return _stacked(laws, lambda m, p, a, b: _window(m if 0 < p < 1 else 0, m * p, a, b, 0, m),
                     len, _binomial_kernel)
 
 
@@ -251,7 +254,7 @@ def binomial_pmf(m, p, a=0, b=None):
     list, 0.0 outside 0..m; the certain cases p = 0 and p = 1 are a point mass.
     """
     b = m if b is None else b
-    return _padded(a, b, *next(_binomial_stack([[(m, p, a, b)]]))[0])
+    return padded(a, b, *next(binomial_laws([(m, p, a, b)])))
 
 
 def convergence_gap(n_total, p, m, hypergeometric=None, binomial=None):

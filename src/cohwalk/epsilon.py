@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .decision import no_exit_likelihoods
 from .decoherence import detection_probability
-from .ensemble import _binomial_stack, _hypergeometric_stack
+from .ensemble import binomial_laws, hypergeometric_laws
 from .walk import plus_count
 
 TIE_TOL = 1e-9
@@ -145,11 +145,11 @@ def exact_tails(ms, epsilon, n_paths=None):
         raise ValueError("cannot sample more shifters than paths")
     shares = (0.5, (1 + epsilon) / 2) if n is None else (
         plus_count("balanced", n), plus_count("epsilon", n, epsilon))
-    groups = []  # each m's balanced law over k_min..m, then its biased law over 0..k_min-1
+    laws = []  # each m's balanced law over k_min..m, then its biased law over 0..k_min-1
     for m in ms:
         k_min = detection_count_threshold(m, epsilon)
-        groups.append([(m, share, a, b) if n is None else (n, share, m, a, b)
-                       for share, a, b in zip(shares, (k_min, 0), (m, k_min - 1))])
-    tails = (_binomial_stack if n is None else _hypergeometric_stack)(groups)
+        laws += [(m, share, a, b) if n is None else (n, share, m, a, b)
+                 for share, a, b in zip(shares, (k_min, 0), (m, k_min - 1))]
+    tails = (binomial_laws if n is None else hypergeometric_laws)(laws)
     return [TailProbabilities(math.fsum(balanced), math.fsum(biased[::-1]))
-            for (_, balanced), (_, biased) in tails]
+            for (_, balanced), (_, biased) in zip(tails, tails)]  # one m's two tails per pair

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import decision, epsilon as eps_mod
 from .decoherence import detection_probability
-from .ensemble import _binomial_stack, _hypergeometric_stack, _padded
+from .ensemble import binomial_laws, hypergeometric_laws, padded
 from .walk import plus_count
 
 # strategy -> (first, second hypothesis), and the counts t, given (m, epsilon), at
@@ -136,14 +136,14 @@ def experiment_uniforms(seed, start, count):
 
 def _count_pmfs(config):
     """Laws of the count statistic over 0..m under each hypothesis, in
-    ``_RULES`` order, both from one kernel call.
+    ``_RULES`` order, from one kernel call when both fit its budget.
 
     The count is the number of exits for the quantum strategies and the
     number of +1 readings for the classical ones; a constant pattern
     reads all +1 (both signs guess identically), a point mass at m.
     """
     m, n, eps = config.m, config.n_paths, config.epsilon
-    hypotheses, stack = _RULES[config.strategy][0], _binomial_stack
+    hypotheses, build = _RULES[config.strategy][0], binomial_laws
     if config.strategy.startswith("quantum"):
         laws = [(m, detection_probability(h, config.nu, epsilon=eps, n_paths=n), 0, m)
                 for h in hypotheses]
@@ -151,9 +151,9 @@ def _count_pmfs(config):
         laws = [(m, 1.0 if h == "constant" else 0.5 if h == "balanced" else (1 + eps) / 2, 0, m)
                 for h in hypotheses]
     else:
-        stack = _hypergeometric_stack
+        build = hypergeometric_laws
         laws = [(n, n if h == "constant" else plus_count(h, n, eps), m, 0, m) for h in hypotheses]
-    return [_padded(0, m, *law) for law in next(stack([laws]))]
+    return [padded(0, m, *law) for law in build(laws)]
 
 
 def _error_regions(config):

@@ -1,7 +1,6 @@
 """CLI tests: subcommand output, checks, exit codes, reproducibility."""
 
 import contextlib
-import functools
 import io
 import itertools
 import json
@@ -240,45 +239,53 @@ class TestEnsembleCommand:
 
 
     def test_each_law_built_once(self, capsys, monkeypatch):
-        # convergence_gap and mass_sum share one hypergeometric law per N, and
-        # every N shares the one binomial limit
-        calls = []
-
-        def counting_build(name, build, *args):
-            calls.append((name, *args))
-            return build(*args)
-
-        for name in ("hypergeometric_pmf", "binomial_pmf"):
-            monkeypatch.setattr(cohwalk.ensemble, name, functools.partial(
-                counting_build, name, getattr(cohwalk.ensemble, name)))
+        # one kernel call holds every N's hypergeometric law (2 * 11 + 1 counts
+        # x each), shared by convergence_gap and mass_sum, and one builds the
+        # binomial limit (11 counts) that every N shares
+        calls = count_kernel_calls(monkeypatch)
         code, _ = run_cli(capsys, ["ensemble", "--n-list", "100,1000,10000", "--m", "10"])
         assert code == 0
-        assert calls == [("hypergeometric_pmf", 100, 50, 10), ("binomial_pmf", 10, 0.5),
-                         ("hypergeometric_pmf", 1000, 500, 10),
-                         ("hypergeometric_pmf", 10000, 5000, 10)]
+        assert sorted(calls) == [11, 3 * 23]
+
+    def test_first_bad_n_is_reported(self, capsys):
+        # N = 100 breaks m <= N/10 and N = 1001 the p * N rule; N is checked in order
+        assert main(["ensemble", "--n-list", "100,1001", "--m", "11", "--p", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: --m 11 too large for N=100: need m <= N/10\n"
+        assert main(["ensemble", "--n-list", "1001,10000", "--m", "11", "--p", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: p * n_total = 500.5 is not an integer\n"
+
+
+def count_kernel_calls(monkeypatch):
+    """The number of counts x of each ``_log_binomial`` call, as a list that
+    fills while the patch lasts."""
+    calls, kernel = [], cohwalk.ensemble._log_binomial
+
+    def counting_kernel(x, *rest):
+        calls.append(len(x))
+        return kernel(x, *rest)
+
+    monkeypatch.setattr(cohwalk.ensemble, "_log_binomial", counting_kernel)
+    return calls
 
 
 class TestKernelCalls:
-    """A run builds the count laws of all its m in one kernel call, not one per m."""
+    """A run builds the count laws of all its m, or all its N, in shared
+    kernel calls, not one per law."""
 
-    @pytest.mark.parametrize("argv", [
-        ["decide", "--m-range", "1:10", "--nu-range", "0:1:0.1", "--mode", "exact-n",
-         "--n", "1000"],
-        ["epsilon", "--epsilon", "0.5", "--m-range", "1:50", "--nu", "0.8", "--exact-tails"],
-        ["mc", "--strategy", "quantum-eps", "--m", "50", "--epsilon", "0.2", "--nu", "0.5",
-         "--experiments", "1000", "--seed", "1"],
-    ], ids=["decide", "epsilon", "mc"])
-    def test_one_kernel_call_per_run(self, capsys, monkeypatch, argv):
-        calls, kernel = [], cohwalk.ensemble._log_binomial
-
-        def counting_kernel(x, *rest):
-            calls.append(len(x))
-            return kernel(x, *rest)
-
-        monkeypatch.setattr(cohwalk.ensemble, "_log_binomial", counting_kernel)
+    @pytest.mark.parametrize("argv, expected", [
+        (["decide", "--m-range", "1:10", "--nu-range", "0:1:0.1", "--mode", "exact-n",
+          "--n", "1000"], 1),
+        (["epsilon", "--epsilon", "0.5", "--m-range", "1:50", "--nu", "0.8", "--exact-tails"], 1),
+        (["mc", "--strategy", "quantum-eps", "--m", "50", "--epsilon", "0.2", "--nu", "0.5",
+          "--experiments", "1000", "--seed", "1"], 1),
+        # the four hypergeometric laws in one call, the binomial limit in another
+        (["ensemble", "--n-list", "1000,10000,100000,1000000", "--m", "100"], 2),
+    ], ids=["decide", "epsilon", "mc", "ensemble"])
+    def test_kernel_calls_per_run(self, capsys, monkeypatch, argv, expected):
+        calls = count_kernel_calls(monkeypatch)
         code, _ = run_cli(capsys, argv)
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == expected
 
 
 class TestLargeCountLaws:

@@ -405,7 +405,7 @@ class TestStructuredRoute:
         rho = rho_int(pattern, g)
         assert isinstance(g, Overlaps) and isinstance(rho, RhoInt)
         assert g.n_paths == rho.n_paths == 6
-        assert rho.pattern is pattern and rho.overlap is g
+        assert rho.overlap is g
 
     def test_budget_builds_no_n_by_n_matrix(self):
         # one complex N x N matrix at this N would take 160 GB
@@ -471,52 +471,37 @@ class TestTensorOracle:
             assert full_tensor_oracle(pattern, spec) == pytest.approx(
                 dense_reference.full_tensor_oracle(pattern, spec), abs=1e-15)
 
-    def test_marking_matches_dense_register(self):
-        # the three-step walk marks each row once, from the all-|0> config; here
-        # rows hold several configs, and rows 0 and 1 reach one new config
+    def test_transit_marking_matches_dense_register(self):
+        # the transit step marks distinct rows of the one all-|0> column; a path
+        # may recur on the other side of the walk
         rng = np.random.default_rng(71)
-        n, n_rows = 5, 6
+        n, n_rows = 5, 12
         for _ in range(50):
             spec = random_spec(rng, n)
-            rows = rng.choice(n_rows, 4, replace=False)
-            paths = rng.integers(0, n, 4)
-            paths[1] = (paths[0] + rng.integers(1, n)) % n
-            bit0, bit1 = (1 << (n - 1 - int(j)) for j in paths[:2])
-            base = int(rng.integers(0, 2**n)) & ~(bit0 | bit1)
-            pair = [base | bit1, base | bit0]  # each reaches base | bit0 | bit1
-            others = [c for c in range(2**n) if c not in pair + [base | bit0 | bit1]]
-            configs = pair + rng.choice(others, 6, replace=False).tolist()
-            column = {c: k for k, c in enumerate(configs)}
-            state = rng.normal(size=(n_rows, len(configs))) + 1j * rng.normal(
-                size=(n_rows, len(configs)))
-            state[rng.random(state.shape) < 0.3] = 0
-            for row, j in zip(rows, paths):  # a marked row holds its marker at |0>
-                state[row, [k for k, c in enumerate(configs) if c >> (n - 1 - j) & 1]] = 0
-            state[rows[0], 0], state[rows[1], 1] = 0.6, 0.8j
+            rows = rng.choice(n_rows, 6, replace=False)
+            paths = rng.integers(0, n, 6)
+            state = rng.normal(size=(n_rows, 1)) + 1j * rng.normal(size=(n_rows, 1))
             dense = np.zeros((n_rows, 2**n), dtype=complex)
-            dense[:, configs] = state
+            dense[:, 0] = state[:, 0]
             for row, j in zip(rows, paths):
                 rotation = dense_reference._qubit_rotation(spec.alphas[j], spec.betas[j])
                 reg = np.tensordot(rotation, dense[row].reshape((2,) * n), axes=([1], [j]))
                 dense[row] = np.moveaxis(reg, 0, j).reshape(-1)
-            new = decoherence._mark(state, configs, column, rows, paths, spec)
-            assert configs.count(base | bit0 | bit1) == 1
-            assert len(set(configs)) == len(configs) == new.shape[1]
-            assert column == {c: k for k, c in enumerate(configs)}
+            marked = decoherence._mark(state, rows, paths, spec)
+            assert marked.shape == (n_rows, n + 1)
+            # column j + 1 is the register with marker j (bit N-1-j) alone flipped
             sparse = np.zeros_like(dense)
-            sparse[:, configs] = new
+            sparse[:, [0] + [1 << (n - 1 - j) for j in range(n)]] = marked
             assert np.allclose(sparse, dense, rtol=0, atol=1e-15)
-            assert not dense[:, [c for c in range(2**n) if c not in column]].any()
 
-    def test_marking_a_flipped_marker_raises(self):
+    def test_second_transit_step_raises(self):
         spec = AncillaSpec.uniform(0.5, 3)
-        state = np.array([[0.6, 0.8]], dtype=complex)  # configs |000> and |010>
-        marked = decoherence._mark(state.copy(), [0, 0b010], {0: 0, 0b010: 1},
-                                   np.array([0]), np.array([0]), spec)
-        assert marked.shape == (1, 4)
-        with pytest.raises(AssertionError, match="twice"):
-            decoherence._mark(state, [0, 0b010], {0: 0, 0b010: 1},
-                              np.array([0]), np.array([1]), spec)
+        state = np.array([[0.6], [0.8j]])
+        marked = decoherence._mark(state, np.array([0]), np.array([1]), spec)
+        assert marked.shape == (2, 4)
+        assert decoherence._mark(marked, np.array([], int), np.array([], int), spec) is marked
+        with pytest.raises(AssertionError, match="second transit"):
+            decoherence._mark(marked, np.array([1]), np.array([2]), spec)
 
     def test_non_unitary_rotation_fails_the_norm_check(self):
         # a spec that skipped normalization: |alpha|^2 + |beta|^2 = 1.17

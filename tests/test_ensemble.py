@@ -274,7 +274,7 @@ def hypergeometric_law(draw):
 
 
 def _packed(costs, budget):
-    """Greedy runs of consecutive whole groups within ``budget``, as their costs."""
+    """Greedy runs of consecutive whole laws within ``budget``, as their costs."""
     runs = []
     for cost in costs:
         if runs and runs[-1] + cost <= budget:
@@ -288,8 +288,8 @@ class TestBatching:
     """A batch of laws packed into several budget-sized kernel calls gives the
     same windows and terms, ``==``, as each law built alone."""
 
-    def check(self, stack, cost, groups, budget):
-        alone = [[next(stack([[law]]))[0] for law in group] for group in groups]
+    def check(self, build, cost, laws, budget):
+        alone = [next(build([law])) for law in laws]
         calls, kernel = [], ensemble._log_binomial
 
         def counting_kernel(x, *rest):
@@ -298,24 +298,22 @@ class TestBatching:
 
         with mock.patch.object(ensemble, "_BUDGET", budget), \
                 mock.patch.object(ensemble, "_log_binomial", counting_kernel):
-            batched = list(stack(groups))
-        assert [[(w.tolist(), t) for w, t in g] for g in batched] == \
-            [[(w.tolist(), t) for w, t in g] for g in alone]
-        assert calls == _packed([sum(cost(w) for w, _ in g) for g in alone], budget)
+            batched = list(build(iter(laws)))
+        assert [(w.tolist(), t) for w, t in batched] == [(w.tolist(), t) for w, t in alone]
+        assert calls == _packed([cost(w) for w, _ in alone], budget)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(binomial_law(), min_size=1, max_size=3), min_size=1, max_size=8),
+    @given(st.lists(binomial_law(), min_size=1, max_size=24),
            st.sampled_from([1, 50, ensemble._BUDGET]))
-    def test_binomial(self, groups, budget):
-        self.check(ensemble._binomial_stack, len, groups, budget)
+    def test_binomial(self, laws, budget):
+        self.check(ensemble.binomial_laws, len, laws, budget)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(hypergeometric_law(), min_size=1, max_size=3), min_size=1,
-                    max_size=8),
+    @given(st.lists(hypergeometric_law(), min_size=1, max_size=24),
            st.sampled_from([1, 50, ensemble._BUDGET]))
-    def test_hypergeometric(self, groups, budget):
+    def test_hypergeometric(self, laws, budget):
         # each law stacks its counts j, m - j and one normalizer
-        self.check(ensemble._hypergeometric_stack, lambda w: 2 * len(w) + 1, groups, budget)
+        self.check(ensemble.hypergeometric_laws, lambda w: 2 * len(w) + 1, laws, budget)
 
 
 def _unwindowed(m, mean, a, b, lo, hi):

@@ -367,6 +367,52 @@ class TestNoiseFreeRegionCheck:
         assert worst <= 1e-12
 
 
+# analytic_error at m = 7, nu = 0.6 and epsilon = 0.2, as the closed forms gave it
+# when the count laws became flat; (strategy, n_paths, truth, value)
+ANALYTIC_PINS = [
+    ("classical-dj", None, "constant", 0.0),
+    ("classical-dj", None, "balanced", 0.015625),
+    ("classical-dj", None, "prior", 0.0078125),
+    ("classical-dj", 100, "constant", 0.0),
+    ("classical-dj", 100, "balanced", 0.012479652740097678),
+    ("classical-dj", 100, "prior", 0.006239826370048839),
+    ("quantum-dj", None, "constant", 0.0016384000000000006),
+    ("quantum-dj", None, "balanced", 0.0),
+    ("quantum-dj", None, "prior", 0.0008192000000000003),
+    ("quantum-dj", 100, "constant", 0.0018788182825309105),
+    ("quantum-dj", 100, "balanced", 0.02712750191400659),
+    ("quantum-dj", 100, "prior", 0.01450316009826875),
+    ("classical-eps", None, "epsilon", 0.28979200000000005),
+    ("classical-eps", None, "balanced", 0.49999999999999994),
+    ("classical-eps", None, "prior", 0.394896),
+    ("classical-eps", 100, "epsilon", 0.2836775931533554),
+    ("classical-eps", 100, "balanced", 0.5000000000000003),
+    ("classical-eps", 100, "prior", 0.39183879657667786),
+    ("quantum-eps", None, "epsilon", 0.8436236062780302),
+    ("quantum-eps", None, "balanced", 0.0),
+    ("quantum-eps", None, "prior", 0.4218118031390151),
+    ("quantum-eps", 100, "epsilon", 0.8229793051653633),
+    ("quantum-eps", 100, "balanced", 0.02712750191400659),
+    ("quantum-eps", 100, "prior", 0.42505340353968496),
+]
+
+
+class TestAnalyticRouteIndependence:
+    """``analytic_error`` is the closed form that the sampled rate is checked
+    against, so it must not read the sampler's count laws or error regions."""
+
+    @pytest.mark.parametrize("strategy, n_paths, truth, value", ANALYTIC_PINS)
+    def test_reads_no_sampler_law(self, monkeypatch, strategy, n_paths, truth, value):
+        def forbidden(config):
+            raise AssertionError("analytic_error read the sampler's count laws")
+
+        monkeypatch.setattr(cohwalk.montecarlo, "_count_pmfs", forbidden)
+        monkeypatch.setattr(cohwalk.montecarlo, "_error_regions", forbidden)
+        config = TrialConfig(strategy, 7, 1, 1, n_paths=n_paths, nu=0.6,
+                             epsilon=0.2 if strategy.endswith("-eps") else None, truth=truth)
+        assert analytic_error(config) == value
+
+
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"nu": 1.7}, {"nu": -0.1}, {"nu": float("nan")}, {"seed": -5}, {"seed": 2**64},

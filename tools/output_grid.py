@@ -47,7 +47,12 @@ def _walk():
         yield ["walk", "--n", str(n), "--promise", "balanced", "--nu", "0.3", *oracle]
         yield ["walk", "--n", str(n), "--promise", "epsilon", "--epsilon", "0.5",
                "--nu", "0.9", *oracle]
+    # the oracle at its cap for every promise, and at the smallest N
     yield ["walk", "--n", "512", "--promise", "balanced", "--nu", "0.2", "--exact-oracle"]
+    yield ["walk", "--n", "512", "--promise", "constant", "--nu", "0.7", "--exact-oracle"]
+    yield ["walk", "--n", "512", "--promise", "epsilon", "--epsilon", "0.5", "--nu", "0.9",
+           "--exact-oracle"]
+    yield ["walk", "--n", "2", "--promise", "balanced", "--nu", "0.5", "--exact-oracle"]
     yield ["walk", "--n", "1000", "--promise", "constant", "--exact-oracle"]
     yield ["walk", "--n", "8", "--promise", "constant", "--format", "json"]
 
