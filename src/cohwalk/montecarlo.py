@@ -10,26 +10,33 @@ averaged under the prior.
 
 Randomness is counter-based: experiment i consumes exactly two uniforms,
 one to pick the hypothesis and one to invert the CDF of the sufficient
-count statistic (number of detections, or number of +1 readings).  The
-uniforms come from a Philox stream keyed by (seed, i // STREAM_BLOCK) at
-offset i % STREAM_BLOCK, a pure function of seed and experiment index,
-so results are bit-reproducible and independent of execution order or
-how the experiment range is partitioned across workers.  The count laws
-use the exact per-run walk probabilities, so no pattern or state vector
-is realized: the walk is deterministic, and the statistics are the same.
+count statistic (number of detections, or number of +1 readings).  They
+are the two 64-bit words w of pair i % STREAM_BLOCK of a Philox stream
+keyed by (seed, i // STREAM_BLOCK), each read as u = (w >> 11) * 2^-53,
+a pure function of seed and experiment index, so results are
+bit-reproducible and independent of execution order or how the
+experiment range is partitioned.  A block is entered at the counter of
+its first needed pair, and the blocks of one call run on one thread per
+CPU in the process's affinity.  The count laws use the exact per-run
+walk probabilities, so no pattern or state vector is realized: the walk
+is deterministic, and the statistics are the same.
 
 Each strategy is a count law plus an error region (``_RULES``).  The
 count is drawn by inversion (Devroye 1986, *Non-Uniform Random Variate
 Generation*, ch. III.2), the smallest k with cdf[k] >= u, so count >= t
 exactly when u > cdf[t - 1]: once per run each hypothesis's error
-region becomes one or two thresholds on u, and an experiment costs one
-or two compares.  The test suite checks this against a table-lookup
-sampler and ``scipy.stats`` quantiles, which the package does not need.
+region becomes one or two cuts c on u, each then a threshold on the raw
+word (u > c exactly when w >= (floor(c * 2^53) + 1) << 11), and an
+experiment costs one or two integer compares.  The test suite checks
+this against a table-lookup sampler and ``scipy.stats`` quantiles,
+which the package does not need.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,26 +117,67 @@ class MCResult:
     z_score: float
 
 
-def _uniform_blocks(seed, start, count):
-    """Uniform pairs of experiments [start, start + count) as (take, 2) arrays,
-    one per Philox block: each block of STREAM_BLOCK experiments has its own
-    key and draws in sequence, so experiment i sees the same pair however the
-    range is cut, and a block is drawn only up to the last pair it needs."""
-    pos, end = start, start + count
+def _cpus():
+    """CPUs this process may run on, one sampler thread each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def _block_words(seed, block, offset, take):
+    """Word pairs of experiments [offset, offset + take) of one Philox block as
+    a (take, 2) uint64 array.  Each counter gives four words, two pairs, so the
+    draw enters at the counter holding pair offset and, when offset is odd,
+    skips the pair before it."""
+    # a uint64 key: a plain list holding a seed >= 2**63 goes through float64
+    key = np.array([seed, block], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=offset // 2).random_raw(2 * (take + offset % 2))
+    return words.reshape(-1, 2)[offset % 2:]
+
+
+def _map_blocks(fn, seed, start, count):
+    """fn(words) for each Philox block's pairs of experiments [start, start +
+    count), in block order.  Each block of STREAM_BLOCK experiments has its own
+    key, so experiment i sees the same pair however the range is cut, and the
+    blocks are dealt out over one thread per CPU, the caller's included."""
+    spans, pos, end = [], start, start + count
     while pos < end:
         block, offset = divmod(pos, STREAM_BLOCK)
         take = min(STREAM_BLOCK - offset, end - pos)
-        # a uint64 key: a plain list holding a seed >= 2**63 goes through float64
-        key = np.array([seed, block], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        yield gen.random(2 * (offset + take)).reshape(-1, 2)[offset:]
+        spans.append((block, offset, take))
         pos += take
+    out, failures = [None] * len(spans), []
+    shares = min(_cpus(), len(spans))
+
+    def run(share):
+        try:
+            for i in range(share, len(spans), shares):
+                if failures:  # another share failed: stop early
+                    return
+                out[i] = fn(_block_words(seed, *spans[i]))
+        except BaseException as exc:  # re-raised on the caller once all are joined
+            failures.append(exc)
+
+    helpers = []
+    try:
+        for share in range(1, shares):
+            helper = threading.Thread(target=run, args=(share,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
+    return out
 
 
 def experiment_uniforms(seed, start, count):
     """Uniform pairs for experiments [start, start + count): the hypothesis
     uniforms and the count uniforms, identical for any partition."""
-    pairs = np.concatenate(list(_uniform_blocks(seed, start, count)))
+    pairs = np.concatenate(_map_blocks(lambda w: (w >> 11) * 2.0**-53, seed, start, count))
     # u = 0 would map to k = 0 even where pmf[0] = 0: clip the measure-zero end
     return pairs[:, 0], np.clip(pairs[:, 1], 1e-300, None)
 
@@ -156,13 +204,20 @@ def _count_pmfs(config):
     return [padded(0, m, *law) for law in build(laws)]
 
 
+def _word_threshold(c):
+    """The least word w whose uniform (w >> 11) * 2^-53 exceeds the cut c in
+    [0, 1): u > c exactly when w >> 11 > c * 2^53, which scales c exactly."""
+    return (math.floor(c * 2**53) + 1) << 11
+
+
 def _error_regions(config):
     """Per hypothesis, where its experiments guess wrong, as thresholds on the
-    count uniform u: (wrong below every threshold, thresholds where that flips).
+    count word w: (wrong below every threshold, thresholds where that flips).
 
-    Below every change count the guess is the second hypothesis.  A threshold
-    below the 1e-300 clip of u (t <= 0 too) is always passed and one at 1 or
-    above (t > m too) never is, so both fold away.
+    Below every change count the guess is the second hypothesis.  A cut on u
+    below the 1e-300 clip (t <= 0 too) is always passed and one at 1 or above
+    (t > m too) never is, so both fold away, as does a cut of 1 - 2^-53, whose
+    threshold would be 2^64.
     """
     changes = _RULES[config.strategy][1]
     regions = []
@@ -171,21 +226,31 @@ def _error_regions(config):
         cuts = [-math.inf if t <= 0 else math.inf if t > config.m else cdf[t - 1]
                 for t in changes(config.m, config.epsilon)]
         passed = sum(c < 1e-300 for c in cuts)
-        regions.append((wrong != (passed % 2 == 1), [c for c in cuts if 1e-300 <= c < 1]))
+        thresholds = [_word_threshold(c) for c in cuts if 1e-300 <= c < 1]
+        regions.append((wrong != bool(passed % 2),
+                        [np.uint64(t) for t in thresholds if t < 2**64]))
     return regions
 
 
-def _block_errors(config, regions, u):
-    """Number of wrong guesses among one block of (hypothesis, count) uniform pairs."""
+def _block_errors(config, regions, words):
+    """Number of wrong guesses among one block of (hypothesis, count) word pairs.
+
+    The hypothesis is the first when its uniform is below 0.5, its word below
+    2^63; a fixed truth tag reads only that hypothesis's region.
+    """
     if config.truth == "prior":
-        is_first = u[:, 0] < 0.5
+        is_first = words[:, 0] < np.uint64(1 << 63)
+        picks = zip(regions, (is_first, ~is_first))
     else:
-        is_first = np.full(len(u), config.truth == _RULES[config.strategy][0][0])
+        picks = [(regions[_RULES[config.strategy][0].index(config.truth)], None)]
     errors = 0
-    for (wrong, thresholds), on_h in zip(regions, (is_first, ~is_first)):
-        for c in thresholds:
-            wrong = wrong ^ (u[:, 1] > c)
-        errors += int(np.count_nonzero(on_h & wrong))
+    for (wrong, thresholds), on_h in picks:
+        for t in thresholds:
+            wrong = wrong ^ (words[:, 1] >= t)
+        if on_h is not None:
+            wrong = on_h & wrong
+        # with no threshold and no mask, one bool stands for the whole block
+        errors += len(words) * wrong if isinstance(wrong, bool) else int(np.count_nonzero(wrong))
     return errors
 
 
@@ -222,8 +287,8 @@ def run_experiment(config):
     """
     analytic = analytic_error(config)  # rejects a bad composition before any draw
     regions = _error_regions(config)
-    total_errors = sum(_block_errors(config, regions, u)
-                       for u in _uniform_blocks(config.seed, 0, config.experiments))
+    total_errors = sum(_map_blocks(lambda words: _block_errors(config, regions, words),
+                                   config.seed, 0, config.experiments))
 
     n = config.experiments
     empirical = total_errors / n

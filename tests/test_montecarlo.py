@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,14 +13,16 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import cohwalk
-from cohwalk import epsilon as eps_mod
+from cohwalk import epsilon as eps_mod, montecarlo
 from cohwalk.montecarlo import (
     _RULES,
+    STREAM_BLOCK,
     MCResult,
     TrialConfig,
     _block_errors,
     _count_pmfs,
     _error_regions,
+    _word_threshold,
     analytic_error,
     experiment_uniforms,
     run_experiment,
@@ -256,6 +259,7 @@ KERNEL_CONFIGS = [
     dict(strategy="quantum-dj", m=1, nu=1e-7),  # a threshold just below 1
     dict(strategy="quantum-dj", m=2, nu=1.0),
     dict(strategy="quantum-dj", m=3, nu=0.0),
+    dict(strategy="quantum-dj", m=3, nu=0.0, truth="constant"),  # every guess wrong
     dict(strategy="quantum-dj", m=2, nu=0.7, truth="constant"),
     dict(strategy="quantum-dj", m=2, nu=0.7, truth="balanced"),
     dict(strategy="quantum-dj", m=3, nu=0.3, n_paths=64),
@@ -311,18 +315,20 @@ class TestErrorRegionKernel:
 
     @pytest.mark.parametrize("kwargs", KERNEL_CONFIGS, ids=KERNEL_IDS)
     def test_boundary_uniforms_match_table_reference(self, kwargs):
-        # u on each CDF step, one float either side of it, and the ends;
-        # the kernel sees u = 0 unclipped, the reference the clipped 1e-300
+        # on each CDF step s, the last word whose uniform is at or below s and
+        # the first whose uniform is above it, and the ends of each hypothesis's
+        # words; the kernel sees w < 2^11 (u = 0) unclipped, the reference the
+        # clipped 1e-300
         config = TrialConfig(experiments=1, seed=0, **kwargs)
         steps = np.concatenate([np.cumsum(pmf) for pmf in _count_pmfs(config)])
-        u = np.concatenate([steps, np.nextafter(steps, np.inf), np.nextafter(steps, -np.inf),
-                            [0.0, 1e-300, 0.5, 1 - 2**-53]])
-        u = u[(u >= 0) & (u < 1)]
-        u_hyp, u_count = np.repeat([0.25, 0.75], len(u)), np.tile(u, 2)
-        want = reference_wrong(config, u_hyp, np.clip(u_count, 1e-300, None))
+        first_above = [(math.floor(s * 2**53) + 1) << 11 for s in steps]
+        count = [w for k in first_above for w in (k - 1, k)]
+        count = [w for w in count if w < 2**64] + [0, 2**11 - 1, 2**63 - 1, 2**63, 2**64 - 1]
+        words = np.array([(h, w) for h in (2**63 - 1, 2**63) for w in count], dtype=np.uint64)
+        u = (words >> 11) * 2.0**-53
+        want = reference_wrong(config, u[:, 0], np.clip(u[:, 1], 1e-300, None))
         regions = _error_regions(config)
-        got = [_block_errors(config, regions, np.array([pair]))
-               for pair in zip(u_hyp, u_count)]
+        got = [_block_errors(config, regions, words[i:i + 1]) for i in range(len(words))]
         assert got == want.astype(int).tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -331,6 +337,116 @@ class TestErrorRegionKernel:
         u_hyp, u_count = experiment_uniforms(config.seed, 0, config.experiments)
         want = reference_errors(config, u_hyp, u_count)
         assert run_experiment(config).empirical_error == want / config.experiments
+
+
+class TestWordThresholds:
+    """A cut c on the count uniform becomes the least word whose uniform
+    exceeds it, and the kernel passes a threshold at that word exactly."""
+
+    @pytest.mark.parametrize("cut, threshold", [
+        (1e-300, 2**11),
+        (float(np.nextafter(0.5, 0)), 2**63),
+        (0.5, 2**63 + 2**11),
+        (1 - 2**-53, 2**64),
+    ])
+    def test_threshold_is_the_first_word_above_the_cut(self, cut, threshold):
+        assert _word_threshold(cut) == threshold
+        assert ((threshold - 1) >> 11) * 2.0**-53 <= cut < (threshold >> 11) * 2.0**-53
+
+    @pytest.mark.parametrize("cut", [1e-300, float(np.nextafter(0.5, 0)), 0.5])
+    def test_kernel_passes_the_threshold_word(self, monkeypatch, cut):
+        # quantum-dj at m = 1 has one cut, cdf[0]; constant errs at count 0
+        monkeypatch.setattr(montecarlo, "_count_pmfs", lambda config: [[cut, 1 - cut]] * 2)
+        t = _word_threshold(cut)
+        for truth, errs_below in (("constant", True), ("balanced", False)):
+            config = TrialConfig("quantum-dj", 1, 1, 0, truth=truth)
+            regions = _error_regions(config)
+            assert regions == [(True, [t]), (False, [t])]
+            words = np.array([[0, t - 1], [0, t]], dtype=np.uint64)
+            got = [_block_errors(config, regions, words[i:i + 1]) for i in (0, 1)]
+            assert got == [errs_below, not errs_below]
+
+    @pytest.mark.parametrize("cut, regions", [
+        (1 - 2**-53, [(True, []), (False, [])]),  # its threshold would be 2^64
+        (1.0, [(True, []), (False, [])]),
+        (5e-324, [(False, []), (True, [])]),  # below the 1e-300 clip: always passed
+        (0.0, [(False, []), (True, [])]),
+    ])
+    def test_cuts_out_of_word_range_fold_away(self, monkeypatch, cut, regions):
+        monkeypatch.setattr(montecarlo, "_count_pmfs", lambda config: [[cut, 1 - cut]] * 2)
+        assert _error_regions(TrialConfig("quantum-dj", 1, 1, 0)) == regions
+
+
+class TestThreads:
+    """The Philox blocks of one call are spread over one thread per CPU: any
+    count gives the same results, an error in any block reaches the caller,
+    and every helper is joined before the call returns."""
+
+    CONFIGS = [
+        TrialConfig("quantum-dj", 2, 9 * STREAM_BLOCK + 5, 11, nu=0.5),
+        TrialConfig("classical-eps", 40, 9 * STREAM_BLOCK + 5, 12, epsilon=0.2,
+                    truth="epsilon"),
+    ]
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """Every thread the sampler starts, under a very short switch interval."""
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                super().start()
+                started.append(self)
+
+        monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield started
+        finally:
+            sys.setswitchinterval(interval)
+            for helper in started:
+                helper.join(timeout=10)
+            assert not any(helper.is_alive() for helper in started)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_results_identical_at_any_count(self, monkeypatch, helpers, cpus):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        want = ([run_experiment(config) for config in self.CONFIGS],
+                experiment_uniforms(13, 3 * STREAM_BLOCK - 7, 8 * STREAM_BLOCK + 3))
+        assert helpers == []
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        got = ([run_experiment(config) for config in self.CONFIGS],
+               experiment_uniforms(13, 3 * STREAM_BLOCK - 7, 8 * STREAM_BLOCK + 3))
+        assert not any(helper.is_alive() for helper in helpers)
+        assert len(helpers) == 3 * (cpus - 1)
+        assert got[0] == want[0]
+        assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+
+    @pytest.mark.parametrize("failing_block", [0, 5])  # the caller's share, a helper's
+    def test_error_in_a_block_reaches_the_caller(self, monkeypatch, helpers, failing_block):
+        draw = montecarlo._block_words
+
+        def faulty(seed, block, offset, take):
+            if block == failing_block:
+                raise RuntimeError(f"block {block} failed")
+            return draw(seed, block, offset, take)
+
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_block_words", faulty)
+        for call in (lambda: run_experiment(self.CONFIGS[0]),
+                     lambda: experiment_uniforms(13, 0, 9 * STREAM_BLOCK)):
+            with pytest.raises(RuntimeError, match=f"^block {failing_block} failed$"):
+                call()
+            assert not any(helper.is_alive() for helper in helpers)
+        assert len(helpers) == 2 * 7
+
+    def test_cpu_count_reads_the_affinity(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert montecarlo._cpus() == 3
 
 
 def region_error(config):
@@ -440,7 +556,7 @@ class TestValidation:
         def no_sampling(*args):
             raise AssertionError("sampled before the closed form was checked")
 
-        monkeypatch.setattr(cohwalk.montecarlo, "_uniform_blocks", no_sampling)
+        monkeypatch.setattr(cohwalk.montecarlo, "_block_words", no_sampling)
         with pytest.raises(ValueError, match="even number of paths"):
             run_experiment(TrialConfig(strategy, m=4, experiments=10**8, seed=1,
                                        n_paths=n_paths, **kwargs))

@@ -5,10 +5,13 @@ Shaw, "Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011).  The
 first pair of experiment uniforms in stream block b of a seed is made of
 the first two words of the Philox block keyed (seed, b) at counter 1,
 each as (word >> 11) * 2^-53; a count uniform of 0 is raised to 1e-300.
-Neither this reference nor the known words depend on numpy, so a numpy
-release that changed its Philox or its double conversion fails here.
+Pair p of a block is the first or last two words at counter p // 2 + 1,
+as p is even or odd.  Neither this reference nor the known words depend
+on numpy, so a numpy release that changed its Philox or its double
+conversion fails here.
 """
 
+import numpy as np
 import pytest
 
 from cohwalk import montecarlo
@@ -52,10 +55,24 @@ def test_stream_draws_the_known_words(seed, block):
     assert (hyp[0], count[0]) == tuple((word >> 11) * 2.0**-53 for word in KNOWN[seed, block])
 
 
+@pytest.mark.parametrize("offset", [0, 1, 2, 3, 65535])
+@pytest.mark.parametrize("seed, block", [(7, 1), (2**64 - 1, 0)])
+def test_block_is_entered_at_any_pair(seed, block, offset):
+    pairs = range(offset, min(offset + 3, montecarlo.STREAM_BLOCK))  # across a counter
+    want = [philox4x64_10((seed, block), (p // 2 + 1, 0, 0, 0))[2 * (p % 2):][:2]
+            for p in pairs]
+    assert montecarlo._block_words(seed, block, offset, len(want)).tolist() == want
+    hyp, count = montecarlo.experiment_uniforms(
+        seed, block * montecarlo.STREAM_BLOCK + offset, len(want))
+    assert list(zip(hyp.tolist(), count.tolist())) == [
+        tuple((word >> 11) * 2.0**-53 for word in pair) for pair in want]
+
+
 def test_count_uniform_is_clipped_at_1e_300(monkeypatch):
     # a word below 2^11 gives u = 0; only the count uniform is clipped
-    pairs = [[0.0, 0.0], [0.0, 5e-324], [0.25, 1e-300], [0.5, 2.0**-53]]
-    monkeypatch.setattr(montecarlo, "_uniform_blocks", lambda seed, start, count: [pairs])
-    hyp, count = montecarlo.experiment_uniforms(0, 0, len(pairs))
+    words = np.array([[0, 0], [0, 2**11 - 1], [2**62, 2**11], [2**63, 2**64 - 1]],
+                     dtype=np.uint64)
+    monkeypatch.setattr(montecarlo, "_block_words", lambda seed, block, offset, take: words)
+    hyp, count = montecarlo.experiment_uniforms(0, 0, len(words))
     assert hyp.tolist() == [0.0, 0.0, 0.25, 0.5]
-    assert count.tolist() == [1e-300, 1e-300, 1e-300, 2.0**-53]
+    assert count.tolist() == [1e-300, 1e-300, 2.0**-53, 1 - 2.0**-53]
