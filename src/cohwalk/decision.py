@@ -95,8 +95,7 @@ def quantum_error(m, nu, n_paths=None):
     if m < 1:
         raise ValueError("m must be at least 1")
     miss_c, miss_b = no_exit_likelihoods("constant", m, nu, n_paths=n_paths)
-    half = Fraction(1, 2)
-    return half * miss_c + half * (1 - miss_b)
+    return (miss_c + (1 - miss_b)) / 2
 
 
 def coherence_threshold(m):

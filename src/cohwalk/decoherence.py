@@ -16,9 +16,9 @@ This module computes the overlaps, the internal-path density matrix,
 the l1 coherence of that matrix, the normalized overlap sum X, the exit
 probability with its coherence bound, and a brute-force particle (x)
 ancilla-register simulation used as an oracle for all of the closed
-forms.  G is rank one plus a diagonal, so ``overlaps`` returns it as an
-O(N) ``Overlaps`` record and ``rho_int`` returns a ``RhoInt`` record;
-every quantity here is a sum read off those records in O(N) time and
+forms.  G is rank one plus a diagonal, so the O(N) ``AncillaSpec`` is
+its record: ``overlaps`` returns the spec and ``rho_int`` a ``RhoInt``
+over it; every quantity here is a sum read off the spec in O(N) time and
 memory, and no N x N matrix is built.  The oracle stores the joint state
 only over the marker configurations that hold amplitude: the three-step
 walk transits every path in one step, which takes marker j out of |0>
@@ -44,7 +44,8 @@ class AncillaSpec:
     Use ``AncillaSpec.uniform(nu, n_paths)`` for the common-overlap case
     (every qubit rotated the same way, pairwise overlap exactly ``nu``)
     or ``AncillaSpec(alphas, betas)`` for arbitrary qubits; only ``uniform`` sets ``nu``.
-    ``alphas`` and ``betas`` are stored as read-only 1-D complex arrays.
+    ``alphas`` and ``betas`` are stored as read-only 1-D complex arrays.  The spec
+    is also the record of G: conj(a_k) * a_j (or exactly nu) off the diagonal.
     """
 
     def __init__(self, alphas, betas):
@@ -74,13 +75,6 @@ class AncillaSpec:
     def per_path(cls, alphas, betas):
         return cls(alphas, betas)
 
-
-class Overlaps:
-    """G as conj(a_k) * a_j off the diagonal and 1 on it, or exactly nu off it."""
-
-    def __init__(self, alphas, nu=None):
-        self.n_paths, self.alphas, self.nu = len(alphas), alphas, nu
-
     def off_diagonal_mass(self):
         """sum_{j!=k} |G[k][j]| = (sum |a_j|)^2 - sum |a_j|^2, summed as
         2 sum_k |a_k| sum_{j<k} |a_j| so that no terms cancel."""
@@ -100,7 +94,7 @@ class Overlaps:
 
 
 class RhoInt:
-    """rho_int as its ``Overlaps``: |entry (j, k)| = |G[k][j]| / (N+1) for any pattern."""
+    """rho_int over its overlaps G: |entry (j, k)| = |G[k][j]| / (N+1) for any pattern."""
 
     def __init__(self, overlap):
         self.n_paths, self.overlap = overlap.n_paths, overlap
@@ -110,8 +104,8 @@ class RhoInt:
 
 
 def overlaps(spec):
-    """Environment overlaps G[k][j] = <eta_k|eta_j> as an ``Overlaps`` record."""
-    return Overlaps(spec.alphas, spec.nu)
+    """Environment overlaps G[k][j] = <eta_k|eta_j>: the ``AncillaSpec`` itself."""
+    return spec
 
 
 def rho_int(pattern, overlap):
@@ -120,7 +114,7 @@ def rho_int(pattern, overlap):
     Entry (j, k) is s_j * s_k * G[k][j] / (N+1).  The entry-tail
     component carries the remaining 1/(N+1) of the trace and is excluded
     from this block, so the trace is N/(N+1).  Returned as a ``RhoInt``
-    record of the ``Overlaps``: the signs do not change an entry's modulus,
+    record over the overlaps: the signs do not change an entry's modulus,
     which is all that the record's sums read.
     """
     if overlap.n_paths != pattern.n_paths:
@@ -147,7 +141,7 @@ def exit_probability(pattern, overlap):
     """Probability of ending on the exit edge, with markers traced out.
 
     Evaluates sum_{j,k} s_j s_k G[k][j] / (N+1)^2 in O(N) from the
-    ``Overlaps`` record; G is Hermitian, so the sum is real.
+    overlaps' amplitudes; G is Hermitian, so the sum is real.
     """
     n = pattern.n_paths
     if overlap.n_paths != n:

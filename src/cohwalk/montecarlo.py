@@ -287,8 +287,12 @@ def run_experiment(config):
     """
     analytic = analytic_error(config)  # rejects a bad composition before any draw
     regions = _error_regions(config)
-    total_errors = sum(_map_blocks(lambda words: _block_errors(config, regions, words),
-                                   config.seed, 0, config.experiments))
+    tagged = config.truth != "prior" and regions[_RULES[config.strategy][0].index(config.truth)]
+    if tagged and not tagged[1]:  # no threshold: the region decides all, and nothing is drawn
+        total_errors = config.experiments * tagged[0]
+    else:
+        total_errors = sum(_map_blocks(lambda words: _block_errors(config, regions, words),
+                                       config.seed, 0, config.experiments))
 
     n = config.experiments
     empirical = total_errors / n

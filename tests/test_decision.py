@@ -158,6 +158,15 @@ class TestQuantum:
         assert quantum_error(5, Fraction(1)) == 0
         assert quantum_error(1, Fraction(0)) == HALF
 
+    @pytest.mark.parametrize("n_paths", [None, 10])
+    def test_float_error_is_the_halves_summed(self, n_paths):
+        # halving is exact, so (a + b) / 2 and a / 2 + b / 2 round alike, down to
+        # (1 - nu)^m of nu = 0.9999999, subnormal from m = 44 and 0 from m = 47
+        for m, nu in itertools.product(range(40, 51), (0.9999999, 0.5)):
+            miss_c, miss_b = no_exit_likelihoods("constant", m, nu, n_paths=n_paths)
+            got = quantum_error(m, nu, n_paths=n_paths)
+            assert type(got) is float and got == 0.5 * miss_c + 0.5 * (1 - miss_b)
+
     def test_error_matches_exhaustive_enumeration(self):
         for m in range(1, 11):
             for nu in (Fraction(0), Fraction(1, 3), HALF, Fraction(9, 10)):

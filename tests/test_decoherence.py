@@ -18,7 +18,6 @@ from cohwalk import decoherence
 from cohwalk.decoherence import (
     ORACLE_MAX_PATHS,
     AncillaSpec,
-    Overlaps,
     RhoInt,
     coherence_l1,
     compute_X,
@@ -81,7 +80,7 @@ def sign_vectors(n):
 
 
 def assert_record_sums(g, dense):
-    """An ``Overlaps`` record gives the sums of the dense matrix it stands for."""
+    """An ``AncillaSpec`` gives the sums of the dense overlap matrix it stands for."""
     n = g.n_paths
     assert dense.shape == (n, n)
     tol = 1e-12 * n * n
@@ -401,11 +400,12 @@ class TestStructuredRoute:
     def test_records_route(self):
         rng = np.random.default_rng(47)
         pattern = random_pattern(rng, 6)
-        g = overlaps(random_spec(rng, 6))
+        spec = random_spec(rng, 6)
+        g = overlaps(spec)
         rho = rho_int(pattern, g)
-        assert isinstance(g, Overlaps) and isinstance(rho, RhoInt)
+        assert g is spec and isinstance(rho, RhoInt)
         assert g.n_paths == rho.n_paths == 6
-        assert rho.overlap is g
+        assert rho.overlap is spec
 
     def test_budget_builds_no_n_by_n_matrix(self):
         # one complex N x N matrix at this N would take 160 GB

@@ -122,6 +122,23 @@ class TestRunExperiment:
         assert result.analytic_error == 0.0
         assert result.z_score == 0.0
 
+    @pytest.mark.parametrize("strategy, kwargs, truth, errors", [
+        ("classical-dj", {}, "constant", 0.0),
+        ("quantum-dj", {}, "balanced", 0.0),
+        ("quantum-eps", {"epsilon": 0.2}, "balanced", 0.0),
+        ("quantum-dj", {"nu": 0.0}, "constant", 1.0),  # never exits, so always errs
+    ])
+    def test_region_without_threshold_draws_nothing(self, monkeypatch, strategy, kwargs,
+                                                    truth, errors):
+        def no_sampling(*args):
+            raise AssertionError("drew words for a run that its error region decides")
+
+        monkeypatch.setattr(cohwalk.montecarlo, "_block_words", no_sampling)
+        result = run_experiment(TrialConfig(strategy, m=5, experiments=10**8, seed=1,
+                                            truth=truth, **kwargs))
+        assert result.empirical_error == result.analytic_error == errors
+        assert result.z_score == 0.0
+
     def test_quantum_eps_miss_rate(self):
         config = TrialConfig(
             "quantum-eps", m=100, experiments=200_000, seed=15,

@@ -304,6 +304,20 @@ class TestStep:
         assert peak < 2**20
         assert abs(norm - math.sqrt(math.fsum((flat * flat).tolist()))) <= NORM_TOL
 
+    @pytest.mark.parametrize("entries", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 1])
+    def test_norm_across_block_edges(self, entries):
+        # 2 * entries floats straddle the 2^16-float blocks the sum is cut into
+        flat = np.random.default_rng(entries).standard_normal(2 * entries)
+        want = math.sqrt(math.fsum((flat * flat).tolist()))
+        assert abs(state_norm(flat.view(complex)) - want) <= NORM_TOL
+
+    def test_norm_of_two_dimensional_state(self):
+        # edge states by marker columns, as in the joint oracle, here transposed
+        # so that the norm reads a non-contiguous array over two blocks
+        flat = np.random.default_rng(9).standard_normal(2 * 260 * 257)
+        want = math.sqrt(math.fsum((flat * flat).tolist()))
+        assert abs(state_norm(flat.view(complex).reshape(260, 257).T) - want) <= NORM_TOL
+
     def test_norm_check_compares_with_the_carried_norm(self):
         pattern = PhasePattern.constant(4)
         table = transition_table(WalkGraph(4), pattern)

@@ -64,6 +64,8 @@ def _decide():
                "--n", "2000"]
     yield ["decide", "--m-range", "1:4", "--nu-range", "0.5", "--mode", "exact-n",
            "--n", "6", "--format", "json"]
+    # (1 - nu)^m turns subnormal at m = 44 here, and halving must change no bit
+    yield ["decide", "--m-range", "40:50", "--nu-range", "0.9999999,0.5"]
     # a float range stops at or before its stop: 0, 0.3; and 0, 0.1, 0.2, 0.3
     yield ["decide", "--m-range", "1", "--nu-range", "0:0.5:0.3"]
     yield ["decide", "--m-range", "1", "--nu-range", "0:0.3:0.1"]
