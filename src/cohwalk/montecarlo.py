@@ -236,7 +236,8 @@ def _block_errors(config, regions, words):
     """Number of wrong guesses among one block of (hypothesis, count) word pairs.
 
     The hypothesis is the first when its uniform is below 0.5, its word below
-    2^63; a fixed truth tag reads only that hypothesis's region.
+    2^63. A fixed truth tag reads only that hypothesis's region; with no
+    threshold there it counts one row, so ``run_experiment`` settles it undrawn.
     """
     if config.truth == "prior":
         is_first = words[:, 0] < np.uint64(1 << 63)
@@ -249,8 +250,7 @@ def _block_errors(config, regions, words):
             wrong = wrong ^ (words[:, 1] >= t)
         if on_h is not None:
             wrong = on_h & wrong
-        # with no threshold and no mask, one bool stands for the whole block
-        errors += len(words) * wrong if isinstance(wrong, bool) else int(np.count_nonzero(wrong))
+        errors += int(np.count_nonzero(wrong))
     return errors
 
 
@@ -287,9 +287,9 @@ def run_experiment(config):
     """
     analytic = analytic_error(config)  # rejects a bad composition before any draw
     regions = _error_regions(config)
-    tagged = config.truth != "prior" and regions[_RULES[config.strategy][0].index(config.truth)]
-    if tagged and not tagged[1]:  # no threshold: the region decides all, and nothing is drawn
-        total_errors = config.experiments * tagged[0]
+    tag = None if config.truth == "prior" else _RULES[config.strategy][0].index(config.truth)
+    if tag is not None and not regions[tag][1]:  # no threshold: the region decides every run
+        total_errors = config.experiments * regions[tag][0]
     else:
         total_errors = sum(_map_blocks(lambda words: _block_errors(config, regions, words),
                                        config.seed, 0, config.experiments))

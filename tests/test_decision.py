@@ -157,6 +157,9 @@ class TestQuantum:
         assert quantum_error(2, HALF) == Fraction(1, 8)
         assert quantum_error(5, Fraction(1)) == 0
         assert quantum_error(1, Fraction(0)) == HALF
+        # int nu (0 or 1) halves to a float, the same value
+        assert [quantum_error(1, 0), quantum_error(2, 1)] == [0.5, 0.0]
+        assert type(quantum_error(1, 0)) is float
 
     @pytest.mark.parametrize("n_paths", [None, 10])
     def test_float_error_is_the_halves_summed(self, n_paths):

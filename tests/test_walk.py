@@ -291,9 +291,12 @@ class TestStep:
         exit_amplitude(PhasePattern.constant(6))
         assert len(calls) == 3
 
-    def test_norm_makes_no_state_sized_copy(self):
-        # a 16 MiB state, the size of the joint oracle's at N = 512
-        flat = np.random.default_rng(3).standard_normal(2**21)
+    @pytest.mark.parametrize("entries", [2**20, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 1])
+    def test_norm_makes_no_state_sized_copy(self, entries):
+        # 2^20 entries make a 16 MiB state, the size of the joint oracle's at
+        # N = 512; the others' 2 * entries floats straddle the 2^16-float blocks
+        # the sum is cut into. At most one block's buffer is held, 4 KiB aside.
+        flat = np.random.default_rng(entries).standard_normal(2 * entries)
         state = flat.view(complex)
         tracemalloc.start()
         try:
@@ -301,15 +304,8 @@ class TestStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < min(16 * entries, 2**19) + 2**12
         assert abs(norm - math.sqrt(math.fsum((flat * flat).tolist()))) <= NORM_TOL
-
-    @pytest.mark.parametrize("entries", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 1])
-    def test_norm_across_block_edges(self, entries):
-        # 2 * entries floats straddle the 2^16-float blocks the sum is cut into
-        flat = np.random.default_rng(entries).standard_normal(2 * entries)
-        want = math.sqrt(math.fsum((flat * flat).tolist()))
-        assert abs(state_norm(flat.view(complex)) - want) <= NORM_TOL
 
     def test_norm_of_two_dimensional_state(self):
         # edge states by marker columns, as in the joint oracle, here transposed
