@@ -1,13 +1,10 @@
 """Command-line front end: parameter sweeps emitted as CSV or JSON tables.
 
-Subcommands::
-
-    walk      exit probability for one pattern, state-vector and joint-
-              simulation cross-checks
-    decide    classical vs quantum error sweep over (m, nu)
-    epsilon   miss probability, Chernoff bounds and exact tails vs m
-    ensemble  subsequence-law convergence diagnostics over N
-    mc        seeded Monte Carlo calibration against the closed forms
+Subcommands, one ``_COMMANDS`` row each: ``walk`` (exit probability for one
+pattern, with state-vector and joint-simulation cross-checks), ``decide``
+(classical vs quantum error over (m, nu)), ``epsilon`` (miss probability,
+Chernoff bounds and exact tails vs m), ``ensemble`` (subsequence-law
+convergence over N) and ``mc`` (seeded Monte Carlo against the closed forms).
 
 Every table starts with a metadata block (``# key=value`` lines in CSV,
 a ``metadata`` object in JSON) that holds the exact flag values needed
@@ -301,9 +298,8 @@ def cmd_mc(args):
 def _metadata(args):
     """The subcommand and its flags in the order its parser defines them, which
     is the namespace's order, then the output format and the version."""
-    meta = {key: value for key, value in vars(args).items()
-            if key not in ("format", "output", "strict", "func")}
-    meta["format"] = args.format
+    meta = {key: value for key, value in vars(args).items() if key not in ("output", "strict")}
+    meta["format"] = meta.pop("format")  # after the command's own flags
     meta["version"] = __version__
     return meta
 
@@ -313,76 +309,67 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-@functools.cache  # one parser per process; parse_args keeps no state in it
-def build_parser():
+_COMMON = [("--format", dict(choices=["csv", "json"], default="csv")),
+           ("--output", dict(help="write the table here instead of stdout")),
+           ("--strict", dict(action="store_true", help="forbid implicit seeds (CI mode)"))]
+# name -> (handler, help line, its own flags after the common ones), in help order
+_COMMANDS = {
+    "walk": (cmd_walk, "exit probability for one promise class", [
+        ("--n", dict(type=int, required=True)),
+        ("--promise", dict(choices=["constant", "balanced", "epsilon"], required=True)),
+        ("--epsilon", dict(type=float)), ("--nu", dict(type=float, default=1.0)),
+        ("--exact-oracle", dict(action="store_true", help="cross-check against the joint "
+                                f"marker simulation (N <= {ORACLE_MAX_PATHS})"))]),
+    "decide": (cmd_decide, "constant-vs-balanced error sweep", [
+        ("--m-range", dict(required=True)), ("--nu-range", dict(required=True)),
+        ("--mode", dict(choices=["idealized", "exact-n"], default="idealized")),
+        ("--n", dict(type=int, default=1000))]),
+    "epsilon": (cmd_epsilon, "balanced-vs-biased error sweep", [
+        ("--epsilon", dict(type=float, required=True)), ("--m-range", dict(required=True)),
+        ("--nu", dict(type=float, default=1.0)), ("--exact-tails", dict(action="store_true"))]),
+    "ensemble": (cmd_ensemble, "subsequence-law convergence diagnostics", [
+        ("--n-list", dict(required=True)), ("--p", dict(type=float, default=0.5)),
+        ("--m", dict(type=int, required=True))]),
+    "mc": (cmd_mc, "Monte Carlo calibration run", [
+        ("--strategy", dict(choices=list(montecarlo.STRATEGIES), required=True)),
+        ("--m", dict(type=int, required=True)), ("--nu", dict(type=float, default=1.0)),
+        ("--epsilon", dict(type=float)), ("--experiments", dict(type=int, default=100_000)),
+        ("--seed", dict(type=int)),
+        ("--sampling", dict(choices=["iid", "hypergeom"], default="iid")),
+        ("--likelihood", dict(choices=["idealized", "exact-n"], default="idealized")),
+        ("--n", dict(type=int, default=1000)),
+        ("--truth", dict(choices=["prior", "constant", "balanced", "epsilon"], default="prior"))]),
+}
+
+
+@functools.cache  # one parser per process and command; parse_args keeps no state in it
+def build_parser(command=None):
+    """The full parser, or given a command's name that command's own parser."""
     # no prefix matching: ``epsilon --n 0`` must not read as ``--nu 0``
-    parser = _Parser(
-        prog="cohwalk", allow_abbrev=False,
-        description="Interferometer-walk decision problems: sweeps and cross-checks.",
-    )
-    common = _Parser(add_help=False, allow_abbrev=False)
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--output", help="write the table here instead of stdout")
-    common.add_argument("--strict", action="store_true",
-                        help="forbid implicit seeds (CI mode)")
+    if command is not None:
+        parser = _Parser(prog=f"cohwalk {command}", allow_abbrev=False)
+        for flag, options in _COMMON + _COMMANDS[command][2]:
+            parser.add_argument(flag, **options)
+        return parser
+    parser = _Parser(prog="cohwalk", allow_abbrev=False, description=(
+        "Interferometer-walk decision problems: sweeps and cross-checks."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_walk = sub.add_parser("walk", parents=[common], allow_abbrev=False,
-                            help="exit probability for one promise class")
-    p_walk.add_argument("--n", type=int, required=True)
-    p_walk.add_argument("--promise", choices=["constant", "balanced", "epsilon"],
-                        required=True)
-    p_walk.add_argument("--epsilon", type=float)
-    p_walk.add_argument("--nu", type=float, default=1.0)
-    p_walk.add_argument("--exact-oracle", action="store_true",
-                        help="cross-check against the joint marker simulation "
-                             f"(N <= {ORACLE_MAX_PATHS})")
-    p_walk.set_defaults(func=cmd_walk)
-
-    p_decide = sub.add_parser("decide", parents=[common], allow_abbrev=False,
-                              help="constant-vs-balanced error sweep")
-    p_decide.add_argument("--m-range", required=True)
-    p_decide.add_argument("--nu-range", required=True)
-    p_decide.add_argument("--mode", choices=["idealized", "exact-n"], default="idealized")
-    p_decide.add_argument("--n", type=int, default=1000)
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_eps = sub.add_parser("epsilon", parents=[common], allow_abbrev=False,
-                           help="balanced-vs-biased error sweep")
-    p_eps.add_argument("--epsilon", type=float, required=True)
-    p_eps.add_argument("--m-range", required=True)
-    p_eps.add_argument("--nu", type=float, default=1.0)
-    p_eps.add_argument("--exact-tails", action="store_true")
-    p_eps.set_defaults(func=cmd_epsilon)
-
-    p_ens = sub.add_parser("ensemble", parents=[common], allow_abbrev=False,
-                           help="subsequence-law convergence diagnostics")
-    p_ens.add_argument("--n-list", required=True)
-    p_ens.add_argument("--p", type=float, default=0.5)
-    p_ens.add_argument("--m", type=int, required=True)
-    p_ens.set_defaults(func=cmd_ensemble)
-
-    p_mc = sub.add_parser("mc", parents=[common], allow_abbrev=False,
-                          help="Monte Carlo calibration run")
-    p_mc.add_argument("--strategy", choices=list(montecarlo.STRATEGIES), required=True)
-    p_mc.add_argument("--m", type=int, required=True)
-    p_mc.add_argument("--nu", type=float, default=1.0)
-    p_mc.add_argument("--epsilon", type=float)
-    p_mc.add_argument("--experiments", type=int, default=100_000)
-    p_mc.add_argument("--seed", type=int)
-    p_mc.add_argument("--sampling", choices=["iid", "hypergeom"], default="iid")
-    p_mc.add_argument("--likelihood", choices=["idealized", "exact-n"], default="idealized")
-    p_mc.add_argument("--n", type=int, default=1000)
-    p_mc.add_argument("--truth", choices=["prior", "constant", "balanced", "epsilon"],
-                      default="prior")
-    p_mc.set_defaults(func=cmd_mc)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[build_parser(name)], add_help=False,
+                       allow_abbrev=False, help=help_text)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
-        records = args.func(args)
+        args, rest = argparse.Namespace(), argv
+        if argv[:1] and argv[0] in _COMMANDS:  # its own parser, into a namespace that
+            args.command = argv[0]             # starts with command as the full one's
+            rest = build_parser(argv[0]).parse_known_args(argv[1:], args)[1]
+        if rest or not argv:  # the full parser for help, leftovers and the rest
+            args = build_parser().parse_args(argv)
+        records = _COMMANDS[args.command][0](args)
     except ValueError as exc:  # --help still leaves through argparse's own exit 0
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,12 +14,10 @@ count statistic (number of detections, or number of +1 readings).  They
 are the two 64-bit words w of pair i % STREAM_BLOCK of a Philox stream
 keyed by (seed, i // STREAM_BLOCK), each read as u = (w >> 11) * 2^-53,
 a pure function of seed and experiment index, so results are
-bit-reproducible and independent of execution order or how the
-experiment range is partitioned.  A block is entered at the counter of
-its first needed pair, and the blocks of one call run on one thread per
-CPU in the process's affinity.  The count laws use the exact per-run
-walk probabilities, so no pattern or state vector is realized: the walk
-is deterministic, and the statistics are the same.
+bit-reproducible and independent of execution order, thread count or
+how the experiment range is partitioned.  The count laws use the exact
+per-run walk probabilities, so no pattern or state vector is realized:
+the walk is deterministic, and the statistics are the same.
 
 Each strategy is a count law plus an error region (``_RULES``).  The
 count is drawn by inversion (Devroye 1986, *Non-Uniform Random Variate
@@ -59,6 +57,11 @@ STRATEGIES = tuple(_RULES)
 STREAM_BLOCK = 1 << 16  # experiments per Philox stream; fixed by the format
 
 
+def _check_seed(seed):
+    if not 0 <= seed < 2**64:  # the Philox key's first word
+        raise ValueError("seed must lie in [0, 2**64)")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Full description of one Monte Carlo run (deterministic given seed).
@@ -88,8 +91,7 @@ class TrialConfig:
             raise ValueError("m must be at least 1")
         if self.n_paths is not None and self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must lie in [0, 2**64)")
+        _check_seed(self.seed)
         if not 0 <= self.nu <= 1:
             raise ValueError("nu must lie in [0, 1]")
         if self.strategy.endswith("-eps") and self.epsilon is None:
@@ -137,25 +139,25 @@ def _block_words(seed, block, offset, take):
 
 
 def _map_blocks(fn, seed, start, count):
-    """fn(words) for each Philox block's pairs of experiments [start, start +
-    count), in block order.  Each block of STREAM_BLOCK experiments has its own
-    key, so experiment i sees the same pair however the range is cut, and the
-    blocks are dealt out over one thread per CPU, the caller's included."""
+    """fn(words, at) for each Philox block's pairs of experiments [start, start +
+    count), in block order, at being the first pair's index in that range.
+    Each block has its own key, so experiment i sees the same pair however the
+    range is cut, and the blocks go out over one thread per CPU, the caller's too."""
     spans, pos, end = [], start, start + count
     while pos < end:
         block, offset = divmod(pos, STREAM_BLOCK)
         take = min(STREAM_BLOCK - offset, end - pos)
-        spans.append((block, offset, take))
+        spans.append((pos - start, block, offset, take))
         pos += take
     out, failures = [None] * len(spans), []
-    shares = min(_cpus(), len(spans))
+    shares = min(_cpus(), len(spans)) or 1
 
     def run(share):
         try:
             for i in range(share, len(spans), shares):
                 if failures:  # another share failed: stop early
                     return
-                out[i] = fn(_block_words(seed, *spans[i]))
+                out[i] = fn(_block_words(seed, *spans[i][1:]), spans[i][0])
         except BaseException as exc:  # re-raised on the caller once all are joined
             failures.append(exc)
 
@@ -177,9 +179,15 @@ def _map_blocks(fn, seed, start, count):
 def experiment_uniforms(seed, start, count):
     """Uniform pairs for experiments [start, start + count): the hypothesis
     uniforms and the count uniforms, identical for any partition."""
-    pairs = np.concatenate(_map_blocks(lambda w: (w >> 11) * 2.0**-53, seed, start, count))
+    _check_seed(seed)
+    if start < 0 or count < 0:
+        raise ValueError(f"{'start' if start < 0 else 'count'} must be at least 0")
+    pairs = np.empty((count, 2))  # each block's words shifted in place and cast into it
+    _map_blocks(lambda w, at: np.copyto(pairs[at:at + len(w)], np.right_shift(w, 11, out=w)),
+                seed, start, count)
+    pairs *= 2.0**-53
     # u = 0 would map to k = 0 even where pmf[0] = 0: clip the measure-zero end
-    return pairs[:, 0], np.clip(pairs[:, 1], 1e-300, None)
+    return pairs[:, 0], np.clip(pairs[:, 1], 1e-300, None, out=pairs[:, 1])
 
 
 def _count_pmfs(config):
@@ -235,22 +243,27 @@ def _error_regions(config):
 def _block_errors(config, regions, words):
     """Number of wrong guesses among one block of (hypothesis, count) word pairs.
 
-    The hypothesis is the first when its uniform is below 0.5, its word below
-    2^63. A fixed truth tag reads only that hypothesis's region; with no
-    threshold there it counts one row, so ``run_experiment`` settles it undrawn.
+    The hypothesis is the first when its word is below 2^63 (u < 0.5); the
+    second's counts are every row's less the first's.  A region costs one
+    compare per threshold.  A fixed truth tag reads only its own region, and
+    ``run_experiment`` settles one with no threshold without drawing words.
     """
-    if config.truth == "prior":
+    if config.truth == "prior":  # side: 1 the first hypothesis, -1 the second, 0 every row
         is_first = words[:, 0] < np.uint64(1 << 63)
-        picks = zip(regions, (is_first, ~is_first))
+        first = int(np.count_nonzero(is_first))
+        picks = [(regions[0], first, 1), (regions[1], len(words) - first, -1)]
     else:
-        picks = [(regions[_RULES[config.strategy][0].index(config.truth)], None)]
+        picks = [(regions[_RULES[config.strategy][0].index(config.truth)], len(words), 0)]
     errors = 0
-    for (wrong, thresholds), on_h in picks:
-        for t in thresholds:
-            wrong = wrong ^ (words[:, 1] >= t)
-        if on_h is not None:
-            wrong = on_h & wrong
-        errors += int(np.count_nonzero(wrong))
+    for (wrong, thresholds), rows, side in picks:
+        passed = 0
+        if thresholds:  # else the region is wrong on every row, or on none
+            odd = words[:, 1] >= thresholds[0]  # past an odd number of thresholds
+            for t in thresholds[1:]:
+                odd ^= words[:, 1] >= t
+            on_first = int(np.count_nonzero(odd & is_first)) if side else 0
+            passed = on_first if side > 0 else int(np.count_nonzero(odd)) - on_first
+        errors += rows - passed if wrong else passed
     return errors
 
 
@@ -291,7 +304,7 @@ def run_experiment(config):
     if tag is not None and not regions[tag][1]:  # no threshold: the region decides every run
         total_errors = config.experiments * regions[tag][0]
     else:
-        total_errors = sum(_map_blocks(lambda words: _block_errors(config, regions, words),
+        total_errors = sum(_map_blocks(lambda words, at: _block_errors(config, regions, words),
                                        config.seed, 0, config.experiments))
 
     n = config.experiments

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import cohwalk
 from cohwalk.cli import (
     MAX_EXPERIMENTS, MAX_LIST_VALUES, MAX_PATHS, MAX_TRIALS, TOLERANCES, OutputTable,
-    _float_list, main,
+    _float_list, build_parser, main,
 )
 from cohwalk.decoherence import AncillaSpec, compute_X, overlaps
 from cohwalk.montecarlo import TrialConfig, analytic_error
@@ -585,6 +585,35 @@ class TestParserReuse:
         assert json.loads(out)["metadata"]["format"] == "json"
         _, out, _ = self._run(capsys, ["walk", "--n", "4", "--promise", "constant"])
         assert parse_csv_table(out).metadata["format"] == "csv"
+
+    def test_known_command_builds_only_its_own_parser(self, capsys):
+        build_parser.cache_clear()
+        assert self._run(capsys, ["walk", "--n", "4", "--promise", "constant"])[0] == 0
+        assert self._run(capsys, self.A)[0] == 0
+        assert build_parser.cache_info().currsize == 2
+        assert self._run(capsys, ["bogus"])[0] == 2  # the full parser, and every command's
+        assert build_parser.cache_info().currsize == 6
+
+    @pytest.mark.parametrize("argv", CHECKED_RUNS.values(), ids=list(CHECKED_RUNS))
+    @pytest.mark.parametrize("extra", [["--bogus"], ["extra", "--bogus=1"]])
+    def test_leftover_arguments_name_the_program(self, capsys, argv, extra):
+        code, out, err = self._run(capsys, argv + extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: cohwalk: unrecognized arguments: {' '.join(extra)}\n"
+
+    def test_help_lists_every_command_and_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0
+        listing = capsys.readouterr().out
+        assert listing.startswith("usage: cohwalk [-h] {walk,decide,epsilon,ensemble,mc} ...")
+        for command, argv in CHECKED_RUNS.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            usage = capsys.readouterr().out
+            assert usage.startswith(
+                f"usage: cohwalk {command} [-h] [--format {{csv,json}}] [--output OUTPUT]")
+            assert all(flag in usage for flag in argv if flag.startswith("--"))
 
 
 # Random command lines: a valid base per subcommand, some of its flags

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,6 +465,48 @@ class TestThreads:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert montecarlo._cpus() == 3
+
+
+class TestExperimentUniforms:
+    """The stream layer's own inputs, and the one output array it fills."""
+
+    @pytest.mark.parametrize("start", [0, 5, STREAM_BLOCK])
+    def test_empty_range_gives_empty_arrays(self, start):
+        hyp, count = experiment_uniforms(7, start, 0)
+        assert hyp.shape == count.shape == (0,)
+        assert hyp.dtype == count.dtype == np.float64
+
+    @pytest.mark.parametrize("seed, start, count, message", [
+        (7, 0, -1, "^count must be at least 0$"),
+        (7, 0, -STREAM_BLOCK, "^count must be at least 0$"),
+        (7, -1, 5, "^start must be at least 0$"),
+        (7, -1, 0, "^start must be at least 0$"),
+        (2**64, 0, 5, r"^seed must lie in \[0, 2\*\*64\)$"),
+        (-1, 0, 5, r"^seed must lie in \[0, 2\*\*64\)$"),
+        (2**64, 0, 0, r"^seed must lie in \[0, 2\*\*64\)$"),
+    ])
+    def test_bad_range_rejected(self, seed, start, count, message):
+        with pytest.raises(ValueError, match=message):
+            experiment_uniforms(seed, start, count)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("start", [0, 3])  # an odd start draws one pair more
+    def test_peak_is_the_output_and_two_blocks(self, monkeypatch, cpus, start):
+        # 8 blocks make an 8 MiB output; each thread holds one block of words
+        # at a time, 1 MiB, and casts it into its slice of the output in place.
+        # 32 KiB aside for the Philox generators, the threads and the spans
+        # (~6 KiB here), less than the two 64 KiB buffers of a ufunc's cast.
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        count = 8 * STREAM_BLOCK
+        experiment_uniforms(1, start, 10)  # numpy.random's own first-use state
+        tracemalloc.start()
+        try:
+            hyp, _ = experiment_uniforms(11, start, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hyp.base.nbytes == 16 * count
+        assert peak <= 16 * count + 2 * 16 * (STREAM_BLOCK + 1) + 2**15
 
 
 def region_error(config):
